@@ -15,23 +15,31 @@ namespace mtdb {
 
 namespace {
 
-// The single table a write statement touches (the correctness of Algorithm 1
-// relies on SQL updates touching exactly one table).
-const std::string* WriteTargetTable(const sql::Statement& stmt) {
+// The routing facts of a parsed statement. EXPLAIN never mutates — whatever
+// statement it wraps, only the plan text comes back — so it routes like a
+// read. A write touches exactly one table (the correctness of Algorithm 1
+// relies on it). DDL has no route: it runs on every replica outside client
+// transactions.
+Result<StatementRef> RouteOf(const sql::Statement& stmt) {
+  StatementRef ref;
+  if (stmt.explain || stmt.kind == sql::StatementKind::kSelect) {
+    ref.is_read = true;
+    return ref;
+  }
   switch (stmt.kind) {
     case sql::StatementKind::kInsert:
-      return &stmt.insert.table;
+      ref.write_table = &stmt.insert.table;
+      return ref;
     case sql::StatementKind::kUpdate:
-      return &stmt.update.table;
+      ref.write_table = &stmt.update.table;
+      return ref;
     case sql::StatementKind::kDelete:
-      return &stmt.del.table;
+      ref.write_table = &stmt.del.table;
+      return ref;
     default:
-      return nullptr;
+      return Status::InvalidArgument(
+          "DDL must go through ClusterController::ExecuteDdl");
   }
-}
-
-bool IsReadStatement(const sql::Statement& stmt) {
-  return stmt.kind == sql::StatementKind::kSelect;
 }
 
 // Completion latch for a fan-out of async RPCs: handlers call Done(), the
@@ -318,18 +326,10 @@ Result<std::shared_ptr<PreparedStatement>> ClusterController::PrepareStatement(
   if (stmt.explain) {
     return Status::InvalidArgument("cannot prepare an EXPLAIN statement");
   }
-  bool is_read = IsReadStatement(stmt);
-  std::string write_table;
-  if (!is_read) {
-    const std::string* table = WriteTargetTable(stmt);
-    if (table == nullptr) {
-      return Status::InvalidArgument(
-          "only SELECT and DML statements can be prepared");
-    }
-    write_table = *table;
-  }
+  MTDB_ASSIGN_OR_RETURN(StatementRef route, RouteOf(stmt));
   auto prepared = std::shared_ptr<PreparedStatement>(new PreparedStatement(
-      db_name, sql, is_read, std::move(write_table)));
+      db_name, sql, route.is_read,
+      route.is_read ? std::string() : *route.write_table));
   // The catalog interns the registration in the tenant's evictable resident
   // state (racing preparers of the same text share whichever instance won);
   // a statement for an unknown database comes back unregistered but still
@@ -353,6 +353,7 @@ Result<uint64_t> ClusterController::HandleOn(PreparedStatement* stmt,
 }
 
 void ClusterController::DropHandle(PreparedStatement* stmt, int machine_id) {
+  if (stmt == nullptr) return;  // SQL text has no handle
   platform::Guard lock(stmt->mu_);
   stmt->machine_handles_.erase(machine_id);
 }
@@ -1060,26 +1061,48 @@ Result<sql::QueryResult> Connection::Execute(const std::string& sql,
                                              const std::vector<Value>& params) {
   // Parse for routing only (read vs. write, which table): the statement
   // itself travels to the machines as SQL text.
-  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
+  MTDB_ASSIGN_OR_RETURN(sql::Statement parsed, sql::Parse(sql));
+  MTDB_ASSIGN_OR_RETURN(StatementRef stmt, RouteOf(parsed));
+  stmt.sql = &sql;
+  return ExecuteStatement(stmt, params);
+}
 
+Result<std::shared_ptr<PreparedStatement>> Connection::Prepare(
+    const std::string& sql) {
+  return controller_->PrepareStatement(db_name_, sql);
+}
+
+Result<sql::QueryResult> Connection::ExecutePrepared(
+    const std::shared_ptr<PreparedStatement>& stmt,
+    const std::vector<Value>& params) {
+  if (stmt == nullptr) {
+    return Status::InvalidArgument("null prepared statement");
+  }
+  if (stmt->db_name_ != db_name_) {
+    return Status::InvalidArgument("prepared statement belongs to database " +
+                                   stmt->db_name_);
+  }
+  return ExecuteStatement({.is_read = stmt->is_read_,
+                           .write_table = &stmt->write_table_,
+                           .prepared = stmt},
+                          params);
+}
+
+Result<sql::QueryResult> Connection::ExecuteStatement(
+    const StatementRef& stmt, const std::vector<Value>& params) {
   if (!active_) {
     // Autocommit: run the statement in its own transaction.
     MTDB_RETURN_IF_ERROR(BeginInternal());
-    auto result = ExecuteInTxn(sql, stmt, params);
+    auto result = ExecuteStatement(stmt, params);
     if (!result.ok()) {
-      (void)AbortInternal(result.status());
+      // A rejected write has already aborted it (Algorithm 1 line 11).
+      if (active_) (void)AbortInternal(result.status());
       return result;
     }
     Status commit_status = CommitInternal();
     if (!commit_status.ok()) return commit_status;
     return result;
   }
-  return ExecuteInTxn(sql, stmt, params);
-}
-
-Result<sql::QueryResult> Connection::ExecuteInTxn(
-    const std::string& sql, const sql::Statement& stmt,
-    const std::vector<Value>& params) {
   if (epoch_ != controller_->epoch()) {
     return Status::Unavailable("connection lost: controller failover");
   }
@@ -1088,26 +1111,24 @@ Result<sql::QueryResult> Connection::ExecuteInTxn(
   if (!poison.ok()) {
     return Status::Aborted("transaction poisoned: " + poison.ToString());
   }
+  return stmt.is_read ? ExecuteRead(stmt, params) : ExecuteWrite(stmt, params);
+}
 
-  // EXPLAIN never mutates — whatever statement it wraps, only the plan text
-  // comes back — so it routes like a read.
-  if (stmt.explain || IsReadStatement(stmt)) {
-    return ExecuteRead(sql, params);
-  }
-  const std::string* table = WriteTargetTable(stmt);
-  if (table == nullptr) {
-    return Status::InvalidArgument(
-        "DDL must go through ClusterController::ExecuteDdl");
-  }
-  return ExecuteWrite(sql, *table, params);
+Result<net::StatementOnWire> Connection::WireFor(const StatementRef& stmt,
+                                                 int machine_id) {
+  if (stmt.prepared == nullptr) return net::StatementOnWire{.sql = stmt.sql};
+  MTDB_ASSIGN_OR_RETURN(uint64_t handle,
+                        controller_->HandleOn(stmt.prepared.get(), machine_id));
+  return net::StatementOnWire{.handle = handle};
 }
 
 Result<sql::QueryResult> Connection::ExecuteRead(
-    const std::string& sql, const std::vector<Value>& params) {
+    const StatementRef& stmt, const std::vector<Value>& params) {
   // Retry against other replicas when the chosen one turns out to be dead
   // (the paper: "the cluster controller continues to process client database
-  // requests using the available machines").
-  size_t attempts = controller_->machine_count() + 1;
+  // requests using the available machines"): one attempt per machine, plus
+  // one to re-mint a handle the machine no longer knows.
+  size_t attempts = controller_->machine_count() + 2;
   Status last = Status::Unavailable("no replica tried");
   for (size_t attempt = 0; attempt < attempts; ++attempt) {
     MTDB_ASSIGN_OR_RETURN(
@@ -1120,51 +1141,48 @@ Result<sql::QueryResult> Connection::ExecuteRead(
                           ReadRoutingOption::kPerTransaction) {
       sticky_read_machine_ = machine_id;
     }
-    Status begun = EnsureBegun(machine_id);
-    if (!begun.ok()) {
-      if (begun.code() == StatusCode::kUnavailable) {
-        begun_machines_.erase(machine_id);
-        if (sticky_read_machine_ == machine_id) sticky_read_machine_ = -1;
-        last = begun;
-        obs::Increment(m_read_retry_);
-        continue;  // pick another replica
+    auto wire = WireFor(stmt, machine_id);
+    Status status = wire.ok() ? EnsureBegun(machine_id) : wire.status();
+    if (status.ok()) {
+      int64_t inject =
+          controller_->InjectedLatency(label_, /*is_write=*/false, machine_id);
+      auto done = std::make_shared<std::promise<net::RpcResponse>>();
+      auto future = done->get_future();
+      SessionFor(machine_id)
+          ->ExecuteAsync(txn_id_, db_name_, *wire, params, inject,
+                         [done](net::RpcResponse response) {
+                           done->set_value(std::move(response));
+                         });
+      net::RpcResponse response = future.get();
+      if (response.ok()) {
+        snapshot_read_done_ = snapshot_read_done_ || read_only_;
+        return std::move(response.result);
       }
-      // A throttled Begin (kResourceExhausted past the retry budget) is NOT
-      // replica failure: retrying elsewhere would route the over-quota
-      // tenant's load onto its other replicas. Surface it.
-      Poison(begun);
-      return begun;
+      status = response.ToStatus();
     }
-
-    int64_t inject =
-        controller_->InjectedLatency(label_, /*is_write=*/false, machine_id);
-    auto done = std::make_shared<std::promise<net::RpcResponse>>();
-    auto future = done->get_future();
-    SessionFor(machine_id)
-        ->ExecuteAsync(txn_id_, db_name_, sql, params, inject,
-                       [done](net::RpcResponse response) {
-                         done->set_value(std::move(response));
-                       });
-    net::RpcResponse response = future.get();
-    if (response.ok()) {
-      snapshot_read_done_ = snapshot_read_done_ || read_only_;
-      return std::move(response.result);
+    if (status.code() == StatusCode::kUnknownHandle) {
+      // The machine's engine lost its handles (it restarted behind a stable
+      // endpoint): re-mint on the next attempt.
+      controller_->DropHandle(stmt.prepared.get(), machine_id);
+      last = status;
+      continue;
     }
-    Status status = response.ToStatus();
     if (status.code() == StatusCode::kUnavailable) {
       begun_machines_.erase(machine_id);
       if (sticky_read_machine_ == machine_id) sticky_read_machine_ = -1;
-      if (read_only_ && snapshot_read_done_) {
-        // The pinned replica died mid-snapshot. Re-pinning to another
-        // replica would splice a second, unrelated snapshot onto reads
-        // already returned from the first — abort instead.
-        Poison(status);
-        return status;
+      // Once the snapshot served a read, re-pinning to another replica would
+      // splice a second, unrelated snapshot onto the reads already
+      // returned: abort instead.
+      if (!(read_only_ && snapshot_read_done_)) {
+        last = status;
+        obs::Increment(m_read_retry_);
+        continue;  // pick another replica
       }
-      last = status;
-      obs::Increment(m_read_retry_);
-      continue;  // pick another replica
     }
+    // Anything else fails the statement. That includes a Begin throttled
+    // past the retry budget (kResourceExhausted): throttled is not failed,
+    // and retrying elsewhere would route the over-quota tenant's load onto
+    // its other replicas.
     Poison(status);
     return status;
   }
@@ -1173,14 +1191,14 @@ Result<sql::QueryResult> Connection::ExecuteRead(
 }
 
 Result<sql::QueryResult> Connection::ExecuteWrite(
-    const std::string& sql, const std::string& table,
-    const std::vector<Value>& params) {
+    const StatementRef& stmt, const std::vector<Value>& params) {
   if (read_only_) {
     Status status = Status::FailedPrecondition(
         "read-only transaction cannot execute writes");
     Poison(status);
     return status;
   }
+  const std::string& table = *stmt.write_table;
   auto targets_or = controller_->WriteTargets(db_name_, table);
   if (!targets_or.ok()) {
     // Algorithm 1 line 11: reject the operation and abort the transaction.
@@ -1196,36 +1214,45 @@ Result<sql::QueryResult> Connection::ExecuteWrite(
   controller_->BeginInflightWrite(db_name_, table);
 
   auto pending = std::make_shared<PendingWrite>();
+  pending->db_name = db_name_;
+  pending->table = table;
+  pending->stmt = stmt.prepared;
   pending->outstanding = static_cast<int>(targets.size());
-  net::ResponseHandler handler = MakeWriteHandler(pending, table);
 
   for (int machine_id : targets) {
-    // A replica that cannot be begun (dead, or throttled past the retry
-    // budget) counts as a failed replica RPC: feed the status through the
-    // shared handler so the PendingWrite stays balanced.
-    Status begun = EnsureBegun(machine_id);
-    if (!begun.ok()) {
-      handler(net::RpcResponse::FromStatus(begun));
+    net::ResponseHandler handler = MakeWriteHandler(pending, machine_id);
+    // A replica we cannot mint a handle on or begin (dead, or throttled past
+    // the retry budget) counts as a failed replica RPC: feed the status
+    // through its handler so the PendingWrite (and the inflight-write
+    // accounting) stays balanced.
+    auto wire = WireFor(stmt, machine_id);
+    Status status = wire.ok() ? EnsureBegun(machine_id) : wire.status();
+    if (!status.ok()) {
+      handler(net::RpcResponse::FromStatus(status));
       continue;
     }
     int64_t inject =
         controller_->InjectedLatency(label_, /*is_write=*/true, machine_id);
     SessionFor(machine_id)
-        ->ExecuteAsync(txn_id_, db_name_, sql, params, inject, handler);
+        ->ExecuteAsync(txn_id_, db_name_, *wire, params, inject,
+                       std::move(handler));
   }
   return FinishWrite(std::move(pending));
 }
 
 net::ResponseHandler Connection::MakeWriteHandler(
-    std::shared_ptr<PendingWrite> pending, std::string table) {
+    std::shared_ptr<PendingWrite> pending, int machine_id) {
   // The MachineClient guarantees this handler fires exactly once per call
   // (reply or deadline), so the inflight-write accounting cannot leak.
   ClusterController* controller = controller_;
-  std::string inflight_db = db_name_;
   return [pending = std::move(pending), controller,
-          inflight_db = std::move(inflight_db),
-          inflight_table = std::move(table)](net::RpcResponse response) {
+          machine_id](net::RpcResponse response) {
     Status status = response.ToStatus();
+    if (status.code() == StatusCode::kUnknownHandle) {
+      // The replica's engine lost its handles: the write fails there, and
+      // the next statement re-mints the handle.
+      controller->DropHandle(pending->stmt.get(), machine_id);
+    }
     bool last = false;
     {
       platform::Guard lock(pending->mu);
@@ -1244,7 +1271,7 @@ net::ResponseHandler Connection::MakeWriteHandler(
       }
       pending->cv.NotifyAll();
     }
-    if (last) controller->EndInflightWrite(inflight_db, inflight_table);
+    if (last) controller->EndInflightWrite(pending->db_name, pending->table);
   };
 }
 
@@ -1290,185 +1317,6 @@ Result<sql::QueryResult> Connection::FinishWrite(
   lock.unlock();
   Poison(error);
   return error;
-}
-
-Result<std::shared_ptr<PreparedStatement>> Connection::Prepare(
-    const std::string& sql) {
-  return controller_->PrepareStatement(db_name_, sql);
-}
-
-Result<sql::QueryResult> Connection::ExecutePrepared(
-    const std::shared_ptr<PreparedStatement>& stmt,
-    const std::vector<Value>& params) {
-  if (stmt == nullptr) {
-    return Status::InvalidArgument("null prepared statement");
-  }
-  if (stmt->db_name_ != db_name_) {
-    return Status::InvalidArgument("prepared statement belongs to database " +
-                                   stmt->db_name_);
-  }
-  if (!active_) {
-    // Autocommit, exactly like Execute.
-    MTDB_RETURN_IF_ERROR(BeginInternal());
-    auto result = ExecutePreparedInTxn(*stmt, params);
-    if (!result.ok()) {
-      (void)AbortInternal(result.status());
-      return result;
-    }
-    Status commit_status = CommitInternal();
-    if (!commit_status.ok()) return commit_status;
-    return result;
-  }
-  return ExecutePreparedInTxn(*stmt, params);
-}
-
-Result<sql::QueryResult> Connection::ExecutePreparedInTxn(
-    PreparedStatement& stmt, const std::vector<Value>& params) {
-  if (epoch_ != controller_->epoch()) {
-    return Status::Unavailable("connection lost: controller failover");
-  }
-  Status poison = poison_status();
-  if (!poison.ok()) {
-    return Status::Aborted("transaction poisoned: " + poison.ToString());
-  }
-  return stmt.is_read_ ? ExecutePreparedRead(stmt, params)
-                       : ExecutePreparedWrite(stmt, params);
-}
-
-Result<sql::QueryResult> Connection::ExecutePreparedRead(
-    PreparedStatement& stmt, const std::vector<Value>& params) {
-  // Mirrors ExecuteRead, with two extra moves per attempt: acquire the
-  // machine-local handle (cached after the first use) before touching the
-  // machine, and re-prepare once if the machine reports the handle unknown
-  // (its process restarted and lost the handle table).
-  size_t attempts = controller_->machine_count() + 2;
-  Status last = Status::Unavailable("no replica tried");
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    MTDB_ASSIGN_OR_RETURN(
-        int machine_id,
-        controller_->PickReadMachine(db_name_, sticky_read_machine_));
-    // Same snapshot pinning rule as ExecuteRead.
-    if (read_only_ || controller_->options().read_option ==
-                          ReadRoutingOption::kPerTransaction) {
-      sticky_read_machine_ = machine_id;
-    }
-    auto handle_or = controller_->HandleOn(&stmt, machine_id);
-    if (!handle_or.ok()) {
-      Status status = handle_or.status();
-      if (status.code() == StatusCode::kUnavailable) {
-        begun_machines_.erase(machine_id);
-        if (sticky_read_machine_ == machine_id) sticky_read_machine_ = -1;
-        last = status;
-        obs::Increment(m_read_retry_);
-        continue;  // pick another replica
-      }
-      Poison(status);
-      return status;
-    }
-    Status begun = EnsureBegun(machine_id);
-    if (!begun.ok()) {
-      if (begun.code() == StatusCode::kUnavailable) {
-        begun_machines_.erase(machine_id);
-        if (sticky_read_machine_ == machine_id) sticky_read_machine_ = -1;
-        last = begun;
-        obs::Increment(m_read_retry_);
-        continue;  // pick another replica
-      }
-      // Throttled ≠ failed: do not shift the tenant's reads to a replica.
-      Poison(begun);
-      return begun;
-    }
-
-    int64_t inject =
-        controller_->InjectedLatency(label_, /*is_write=*/false, machine_id);
-    auto done = std::make_shared<std::promise<net::RpcResponse>>();
-    auto future = done->get_future();
-    SessionFor(machine_id)
-        ->ExecutePreparedAsync(txn_id_, db_name_, *handle_or, params, inject,
-                               [done](net::RpcResponse response) {
-                                 done->set_value(std::move(response));
-                               });
-    net::RpcResponse response = future.get();
-    if (response.ok()) {
-      snapshot_read_done_ = snapshot_read_done_ || read_only_;
-      return std::move(response.result);
-    }
-    Status status = response.ToStatus();
-    if (status.code() == StatusCode::kUnavailable) {
-      begun_machines_.erase(machine_id);
-      if (sticky_read_machine_ == machine_id) sticky_read_machine_ = -1;
-      if (read_only_ && snapshot_read_done_) {
-        // Pinned replica died mid-snapshot: abort rather than splice a
-        // second snapshot onto already-returned reads (see ExecuteRead).
-        Poison(status);
-        return status;
-      }
-      last = status;
-      obs::Increment(m_read_retry_);
-      continue;  // pick another replica
-    }
-    if (status.code() == StatusCode::kFailedPrecondition &&
-        status.message().find("unknown statement handle") !=
-            std::string::npos) {
-      controller_->DropHandle(&stmt, machine_id);
-      last = status;
-      continue;  // re-prepare on the next attempt
-    }
-    Poison(status);
-    return status;
-  }
-  Poison(last);
-  return last;
-}
-
-Result<sql::QueryResult> Connection::ExecutePreparedWrite(
-    PreparedStatement& stmt, const std::vector<Value>& params) {
-  if (read_only_) {
-    Status status = Status::FailedPrecondition(
-        "read-only transaction cannot execute writes");
-    Poison(status);
-    return status;
-  }
-  const std::string& table = stmt.write_table_;
-  auto targets_or = controller_->WriteTargets(db_name_, table);
-  if (!targets_or.ok()) {
-    // Algorithm 1 line 11: reject the operation and abort the transaction.
-    if (targets_or.status().code() == StatusCode::kRejected) {
-      (void)AbortInternal(targets_or.status());
-    } else {
-      Poison(targets_or.status());
-    }
-    return targets_or.status();
-  }
-  const std::vector<int>& targets = *targets_or;
-  wrote_ = true;
-  controller_->BeginInflightWrite(db_name_, table);
-
-  auto pending = std::make_shared<PendingWrite>();
-  pending->outstanding = static_cast<int>(targets.size());
-  net::ResponseHandler handler = MakeWriteHandler(pending, table);
-
-  for (int machine_id : targets) {
-    // A replica we cannot mint a handle on counts as a failed replica RPC:
-    // feed the status through the shared handler so the PendingWrite (and
-    // the inflight-write accounting) stays balanced.
-    auto handle_or = controller_->HandleOn(&stmt, machine_id);
-    if (!handle_or.ok()) {
-      handler(net::RpcResponse::FromStatus(handle_or.status()));
-      continue;
-    }
-    Status begun = EnsureBegun(machine_id);
-    if (!begun.ok()) {
-      handler(net::RpcResponse::FromStatus(begun));
-      continue;
-    }
-    int64_t inject =
-        controller_->InjectedLatency(label_, /*is_write=*/true, machine_id);
-    SessionFor(machine_id)
-        ->ExecutePreparedAsync(txn_id_, db_name_, *handle_or, params, inject,
-                               handler);
-  }
-  return FinishWrite(std::move(pending));
 }
 
 Status Connection::WaitOutstandingWrites() {

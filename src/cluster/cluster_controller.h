@@ -89,6 +89,19 @@ class Connection;
 // src/cluster/catalog/prepared_statement.h; re-exported here because the
 // controller mints and routes them.
 
+// One statement on its way from a Connection to the machines: the routing
+// facts derived once from its parse (a read goes to one replica, a write to
+// every replica of the one table it touches) and what travels on the wire —
+// the SQL text, or a prepared statement whose machine-local handle is looked
+// up per replica at send time.
+struct StatementRef {
+  bool is_read = false;                      // SELECT, or any EXPLAIN
+  const std::string* write_table = nullptr;  // writes only
+  const std::string* sql = nullptr;          // text: ships as kExecute
+  // Prepared: ships its handle on each machine as kExecutePrepared.
+  std::shared_ptr<PreparedStatement> prepared;
+};
+
 // A client database connection, handed out by the cluster controller (which
 // is the connection manager: clients never talk to machines directly).
 // Not thread-safe: one connection serves one client session.
@@ -141,6 +154,12 @@ class Connection {
   // Result of one replicated write: completion latch shared by all replica
   // RPC handlers.
   struct PendingWrite {
+    // Set before the latch is shared, read-only afterwards: the inflight
+    // write the last handler ends, and the statement whose stale handles
+    // the handlers drop (null for SQL text).
+    std::string db_name;
+    std::string table;
+    std::shared_ptr<PreparedStatement> stmt;
     platform::Mutex mu{"cluster/Connection::PendingWrite::mu"};
     platform::CondVar cv;
     int outstanding MTDB_GUARDED_BY(mu) = 0;
@@ -159,27 +178,27 @@ class Connection {
              uint64_t epoch);
 
   Status BeginInternal(bool read_only = false);
-  // The statement is parsed once by the controller for routing decisions;
-  // machines receive the SQL text (plus params) and parse it themselves,
-  // exactly like a DBMS behind a wire protocol.
-  Result<sql::QueryResult> ExecuteInTxn(const std::string& sql,
-                                        const sql::Statement& stmt,
-                                        const std::vector<Value>& params);
-  Result<sql::QueryResult> ExecuteRead(const std::string& sql,
+  // The one entry behind Execute and ExecutePrepared: outside a transaction
+  // it wraps the statement in its own (autocommit); inside, it checks the
+  // epoch and the poison, then hands the statement to the read or the write
+  // routine.
+  Result<sql::QueryResult> ExecuteStatement(const StatementRef& stmt,
+                                            const std::vector<Value>& params);
+  // One replica, with failover to another on kUnavailable and a re-mint on
+  // kUnknownHandle.
+  Result<sql::QueryResult> ExecuteRead(const StatementRef& stmt,
                                        const std::vector<Value>& params);
-  Result<sql::QueryResult> ExecuteWrite(const std::string& sql,
-                                        const std::string& table,
+  // Every write target (ROWA), acknowledged per the WriteAckPolicy.
+  Result<sql::QueryResult> ExecuteWrite(const StatementRef& stmt,
                                         const std::vector<Value>& params);
-  Result<sql::QueryResult> ExecutePreparedInTxn(
-      PreparedStatement& stmt, const std::vector<Value>& params);
-  Result<sql::QueryResult> ExecutePreparedRead(
-      PreparedStatement& stmt, const std::vector<Value>& params);
-  Result<sql::QueryResult> ExecutePreparedWrite(
-      PreparedStatement& stmt, const std::vector<Value>& params);
-  // Replica-fanout plumbing shared by ExecuteWrite / ExecutePreparedWrite:
-  // the exactly-once completion handler and the policy-dependent wait.
+  // What machine_id is sent for `stmt`: its text, or its handle there
+  // (minted with a kPrepareStatement RPC on first use).
+  Result<net::StatementOnWire> WireFor(const StatementRef& stmt,
+                                       int machine_id);
+  // Replica-fanout plumbing of ExecuteWrite: the exactly-once completion
+  // handler of machine_id's RPC and the policy-dependent wait.
   net::ResponseHandler MakeWriteHandler(std::shared_ptr<PendingWrite> pending,
-                                        std::string table);
+                                        int machine_id);
   Result<sql::QueryResult> FinishWrite(std::shared_ptr<PendingWrite> pending);
   // Waits for all asynchronously outstanding writes (aggressive mode).
   Status WaitOutstandingWrites();
@@ -339,8 +358,11 @@ class ClusterController {
   // logical slot. The stored quota is pushed to the target — it joins with
   // the tenant's admission limits already in force, closing the gap where
   // placement changes outran RefreshQuotasFromLoad. No handle invalidation
-  // needed: a machine that never saw the tenant answers kNotFound for a
-  // foreign statement handle and the connection re-mints via DropHandle.
+  // needed: handles are cached per (statement, machine), so a target that
+  // never ran the statement has no cached handle and mints one on first
+  // use, and an engine keeps every handle it minted for its whole life. A
+  // cached handle that outlived its engine answers kUnknownHandle and is
+  // dropped and re-minted.
   Status SwapReplica(const std::string& db_name, int source_machine,
                      int target_machine);
 
@@ -441,7 +463,8 @@ class ClusterController {
   // Returns the machine-local handle for `stmt` on machine_id, minting it
   // with a kPrepareStatement control RPC on first use.
   Result<uint64_t> HandleOn(PreparedStatement* stmt, int machine_id);
-  // Forgets one cached handle (the machine reported it unknown).
+  // Forgets one cached handle (the machine answered kUnknownHandle); a
+  // no-op for a null statement (SQL text).
   void DropHandle(PreparedStatement* stmt, int machine_id);
   // Forgets every handle cached for machine_id (machine failed/replaced).
   void InvalidateHandles(int machine_id);

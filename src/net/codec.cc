@@ -402,7 +402,7 @@ Result<RpcResponse> DecodeResponse(std::string_view payload) {
   }
   RpcResponse response;
   uint8_t code = in.ReadU8();
-  if (code > static_cast<uint8_t>(StatusCode::kResourceExhausted)) {
+  if (code > static_cast<uint8_t>(StatusCode::kUnknownHandle)) {
     return Status::InvalidArgument("unknown status code " +
                                    std::to_string(code));
   }

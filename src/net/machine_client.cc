@@ -89,31 +89,20 @@ void MachineClient::Session::BeginAsync(uint64_t txn_id,
 
 void MachineClient::Session::ExecuteAsync(uint64_t txn_id,
                                           const std::string& db_name,
-                                          const std::string& sql,
+                                          StatementOnWire stmt,
                                           const std::vector<Value>& params,
                                           int64_t debug_delay_us,
                                           ResponseHandler done) {
   RpcRequest request;
-  request.type = RpcType::kExecute;
+  if (stmt.sql != nullptr) {
+    request.type = RpcType::kExecute;
+    request.sql = *stmt.sql;
+  } else {
+    request.type = RpcType::kExecutePrepared;
+    request.stmt_handle = stmt.handle;
+  }
   request.txn_id = txn_id;
   request.db_name = db_name;
-  request.sql = sql;
-  request.params = params;
-  request.debug_delay_us = debug_delay_us;
-  request.trace_id = trace_id_.load(std::memory_order_relaxed);
-  client_->CallWithDeadline(channel_.get(), machine_id_, request,
-                            std::move(done));
-}
-
-void MachineClient::Session::ExecutePreparedAsync(
-    uint64_t txn_id, const std::string& db_name, uint64_t stmt_handle,
-    const std::vector<Value>& params, int64_t debug_delay_us,
-    ResponseHandler done) {
-  RpcRequest request;
-  request.type = RpcType::kExecutePrepared;
-  request.txn_id = txn_id;
-  request.db_name = db_name;
-  request.stmt_handle = stmt_handle;
   request.params = params;
   request.debug_delay_us = debug_delay_us;
   request.trace_id = trace_id_.load(std::memory_order_relaxed);

@@ -26,6 +26,15 @@ struct RpcOptions {
   int64_t call_timeout_us = 60'000'000;
 };
 
+// The statement one execute request runs: SQL text (kExecute; the machine
+// plans it through its plan cache) or a handle minted by
+// MachineClient::PrepareStatement on the session's machine
+// (kExecutePrepared; parse and plan are skipped machine-side).
+struct StatementOnWire {
+  const std::string* sql = nullptr;  // null: run `handle`
+  uint64_t handle = 0;
+};
+
 // The controller's client stub for talking to machines. Everything the
 // cluster controller wants from a machine goes through here as an RPC; this
 // class adds the reliability layer transports do not provide:
@@ -69,16 +78,11 @@ class MachineClient {
     void BeginAsync(uint64_t txn_id, const std::string& db_name,
                     bool read_only, ResponseHandler done);
 
+    // Runs one statement inside txn_id: kExecute for SQL text, or
+    // kExecutePrepared for a handle.
     void ExecuteAsync(uint64_t txn_id, const std::string& db_name,
-                      const std::string& sql, const std::vector<Value>& params,
+                      StatementOnWire stmt, const std::vector<Value>& params,
                       int64_t debug_delay_us, ResponseHandler done);
-    // Runs a statement handle previously minted by PrepareStatement on this
-    // session's machine. Parse/plan is skipped machine-side; the plan cache
-    // re-plans transparently after DDL.
-    void ExecutePreparedAsync(uint64_t txn_id, const std::string& db_name,
-                              uint64_t stmt_handle,
-                              const std::vector<Value>& params,
-                              int64_t debug_delay_us, ResponseHandler done);
     void PrepareAsync(uint64_t txn_id, ResponseHandler done);
     void CommitAsync(uint64_t txn_id, ResponseHandler done);
     void CommitPreparedAsync(uint64_t txn_id, ResponseHandler done);
@@ -108,8 +112,9 @@ class MachineClient {
   Status ExecuteDdl(int machine_id, const std::string& db_name,
                     const std::string& sql);
   // Parse+plan `sql` once on the machine; returns the machine-local statement
-  // handle for Session::ExecutePreparedAsync. Handles do not survive machine
-  // recovery — callers must re-prepare after a machine is replaced.
+  // handle for Session::ExecuteAsync. Handles do not survive machine
+  // recovery: a lost handle answers kUnknownHandle, and the caller
+  // re-prepares.
   Result<uint64_t> PrepareStatement(int machine_id, const std::string& db_name,
                                     const std::string& sql);
   Status BulkLoad(int machine_id, const std::string& db_name,

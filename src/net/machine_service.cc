@@ -110,10 +110,15 @@ RpcResponse MachineService::DispatchTransactional(const RpcRequest& request) {
       response.snapshot_ts = snapshot_ts;
       return response;
     }
-    case RpcType::kExecute: {
-      // Parse+plan (or plan-cache hit) happens before the latency model so
-      // cached statements skip straight to the op slot.
-      auto plan_or = engine->GetPlan(request.db_name, request.sql);
+    case RpcType::kExecute:
+    case RpcType::kExecutePrepared: {
+      // Resolve the plan (a plan-cache hit, a parse+plan of the text, or the
+      // handle's plan) before the latency model, so cached statements skip
+      // straight to the op slot.
+      auto plan_or =
+          request.type == RpcType::kExecute
+              ? engine->GetPlan(request.db_name, request.sql)
+              : engine->PreparedPlan(request.db_name, request.stmt_handle);
       if (!plan_or.ok()) return RpcResponse::FromStatus(plan_or.status());
       // Test-only injected latency is applied *before* taking an op slot,
       // matching the pre-RPC execution path so Table 1 anomaly schedules
@@ -126,21 +131,6 @@ RpcResponse MachineService::DispatchTransactional(const RpcRequest& request) {
       sql::SqlExecutor executor(engine.get());
       auto result = executor.ExecutePlan(request.txn_id, request.db_name,
                                          **plan_or, request.params);
-      machine_->RecordExecuteLatency(NowMicros() - execute_start_us);
-      if (!result.ok()) return RpcResponse::FromStatus(result.status());
-      RpcResponse response;
-      response.result = std::move(*result);
-      return response;
-    }
-    case RpcType::kExecutePrepared: {
-      SleepMicros(request.debug_delay_us);
-      qos::WeightedFairQueue::Guard guard(machine_->fair_queue(),
-                                          request.db_name);
-      int64_t execute_start_us = NowMicros();
-      SleepMicros(machine_->base_op_latency_us());
-      auto result = engine->ExecutePrepared(request.txn_id,
-                                            request.stmt_handle,
-                                            request.params);
       machine_->RecordExecuteLatency(NowMicros() - execute_start_us);
       if (!result.ok()) return RpcResponse::FromStatus(result.status());
       RpcResponse response;

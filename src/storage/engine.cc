@@ -282,24 +282,29 @@ Result<Engine::StatementHandle> Engine::PrepareStatement(
   return handle;
 }
 
-Result<sql::QueryResult> Engine::ExecutePrepared(
-    uint64_t txn_id, StatementHandle handle,
-    const std::vector<Value>& params) {
-  std::string db_name, sql;
+Result<std::shared_ptr<const sql::PlannedStatement>> Engine::PreparedPlan(
+    const std::string& db_name, StatementHandle handle) {
+  std::string sql;
   {
     platform::Guard lock(plan_mu_);
     auto it = prepared_stmts_.find(handle);
-    if (it == prepared_stmts_.end()) {
-      return Status::FailedPrecondition("unknown statement handle " +
-                                        std::to_string(handle));
+    if (it == prepared_stmts_.end() || it->second.db_name != db_name) {
+      return Status::UnknownHandle("unknown statement handle " +
+                                   std::to_string(handle) + " in database " +
+                                   db_name);
     }
-    db_name = it->second.db_name;
     sql = it->second.sql;
   }
   // The cache serves the hot path; after DDL this re-plans, and a dropped
   // table surfaces as kNotFound rather than a stale plan.
+  return GetPlan(db_name, sql);
+}
+
+Result<sql::QueryResult> Engine::ExecutePrepared(
+    uint64_t txn_id, const std::string& db_name, StatementHandle handle,
+    const std::vector<Value>& params) {
   MTDB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::PlannedStatement> plan,
-                        GetPlan(db_name, sql));
+                        PreparedPlan(db_name, handle));
   sql::SqlExecutor executor(this);
   return executor.ExecutePlan(txn_id, db_name, *plan, params);
 }

@@ -130,14 +130,20 @@ class Engine {
 
   // Server-side prepared statements: Prepare parses + plans eagerly (errors
   // surface here, and the plan is warm in the cache) and returns a handle;
-  // ExecutePrepared runs the handle's statement inside `txn_id`, re-planning
-  // transparently after DDL. An unknown handle is kFailedPrecondition; a
-  // handle whose table was dropped returns kNotFound. Named PrepareStatement
-  // because Prepare(uint64_t) is the 2PC participant vote.
+  // PreparedPlan resolves a handle to its plan through the plan cache
+  // (re-planning transparently after DDL), and ExecutePrepared runs it
+  // inside `txn_id`. A handle only resolves in the database it was minted
+  // for: an unknown handle, or one minted for another database, is
+  // kUnknownHandle; a handle whose table was dropped returns kNotFound.
+  // Named PrepareStatement because Prepare(uint64_t) is the 2PC participant
+  // vote.
   using StatementHandle = uint64_t;
   Result<StatementHandle> PrepareStatement(const std::string& db_name,
                                            const std::string& sql);
+  Result<std::shared_ptr<const sql::PlannedStatement>> PreparedPlan(
+      const std::string& db_name, StatementHandle handle);
   Result<sql::QueryResult> ExecutePrepared(uint64_t txn_id,
+                                           const std::string& db_name,
                                            StatementHandle handle,
                                            const std::vector<Value>& params);
 

@@ -209,6 +209,26 @@ TEST(NetCodecTest, EveryStatusCodeRoundTrips) {
   }
 }
 
+TEST(NetCodecTest, UnknownHandleRoundTripsAndNextCodeIsRejected) {
+  RpcResponse response =
+      RpcResponse::FromStatus(Status::UnknownHandle("unknown handle 7"));
+  RpcResponse out = RoundTripResponse(response);
+  EXPECT_EQ(out.code, StatusCode::kUnknownHandle);
+  EXPECT_EQ(out.message, "unknown handle 7");
+
+  // The status code is the payload byte after the direction tag; one past
+  // the last code must still fail decoding instead of becoming a bogus
+  // enumerator.
+  std::string frame;
+  EncodeResponseFrame(response, &frame);
+  std::string payload(PayloadOf(frame));
+  payload[1] =
+      static_cast<char>(static_cast<int>(StatusCode::kUnknownHandle) + 1);
+  auto decoded = DecodeResponse(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(NetCodecTest, QueryResultRoundTripsIncludingEmpty) {
   RpcResponse empty;
   empty.result.columns = {"a", "b"};

@@ -5,10 +5,12 @@
 // handles are minted lazily per replica and invalidated on failover and on
 // Algorithm-1 copy completion, so these tests drive exactly those paths:
 // reads with replica retry, write fan-out, DDL-driven re-planning, dropped
-// tables, and machine failure after handles were minted.
+// tables, machine failure after handles were minted, and engines that lose
+// their handles behind a stable endpoint (kUnknownHandle).
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 
 #include "src/cluster/cluster_controller.h"
 #include "src/sql/executor.h"
+#include "src/storage/dump.h"
 
 namespace mtdb {
 namespace {
@@ -45,6 +48,34 @@ class PreparedRpcTest : public ::testing::Test {
           {Value(i), Value("title-" + std::to_string(i)), Value(int64_t{50})});
     }
     ASSERT_TRUE(controller_->BulkLoad("shop", "item", rows).ok());
+  }
+
+  // Gives each machine a fresh engine restored from `source`'s copy of the
+  // shop database — a process restart behind a stable endpoint that the
+  // controller is never told about (no FailMachine), so every cached
+  // statement handle for these machines is stale.
+  void RestartEngines(const std::vector<int>& machine_ids, int source) {
+    auto dump = DumpDatabaseCoarse(
+        controller_->machine(source)->engine().get(), "shop", 990'000);
+    ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+    for (int id : machine_ids) {
+      controller_->machine(id)->Recover();
+      ASSERT_TRUE(
+          ApplyDatabaseDump(controller_->machine(id)->engine().get(), *dump)
+              .ok());
+    }
+  }
+
+  int64_t StockOn(int machine_id, int64_t item) {
+    auto engine = controller_->machine(machine_id)->engine();
+    uint64_t txn = 920'000 + static_cast<uint64_t>(machine_id);
+    EXPECT_TRUE(engine->Begin(txn).ok());
+    sql::SqlExecutor executor(engine.get());
+    auto rows = executor.ExecuteSql(
+        txn, "shop", "SELECT i_stock FROM item WHERE i_id = ?", {Value(item)});
+    EXPECT_TRUE(rows.ok() && rows->rows.size() == 1u);
+    EXPECT_TRUE(engine->Commit(txn).ok());
+    return rows.ok() && rows->rows.size() == 1u ? rows->at(0, 0).AsInt() : -1;
   }
 
   std::unique_ptr<ClusterController> controller_;
@@ -227,6 +258,87 @@ TEST_F(PreparedRpcTest, PreparedWriteAfterFailover) {
   auto read = conn2->Execute("SELECT i_stock FROM item WHERE i_id = 0");
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->at(0, 0).AsInt(), 3);
+}
+
+TEST_F(PreparedRpcTest, PreparedReadReMintsStaleHandle) {
+  Build();
+  auto conn = controller_->Connect("shop");
+  auto stmt = conn->Prepare("SELECT i_title FROM item WHERE i_id = ?");
+  ASSERT_TRUE(stmt.ok());
+  ASSERT_TRUE(conn->ExecutePrepared(*stmt, {Value(int64_t{1})}).ok());
+  std::vector<int> replicas = controller_->ReplicasOf("shop");
+  RestartEngines(replicas, replicas[0]);
+  // The read lands on a replica that answers kUnknownHandle; the controller
+  // drops its handle, re-mints it and retries within the same call.
+  auto result = conn->ExecutePrepared(*stmt, {Value(int64_t{1})});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->at(0, 0).AsString(), "title-1");
+}
+
+TEST_F(PreparedRpcTest, PreparedWriteDropsStaleHandleOnEveryReplica) {
+  Build();
+  auto conn = controller_->Connect("shop");
+  auto stmt = conn->Prepare("UPDATE item SET i_stock = ? WHERE i_id = ?");
+  ASSERT_TRUE(stmt.ok());
+  ASSERT_TRUE(
+      conn->ExecutePrepared(*stmt, {Value(int64_t{7}), Value(int64_t{0})})
+          .ok());
+  std::vector<int> replicas = controller_->ReplicasOf("shop");
+  ASSERT_EQ(replicas.size(), 2u);
+  RestartEngines({replicas[1]}, replicas[0]);
+  // The restarted replica no longer knows the cached handle: this write
+  // fails there (and so as a whole) ...
+  auto stale =
+      conn->ExecutePrepared(*stmt, {Value(int64_t{5}), Value(int64_t{0})});
+  EXPECT_EQ(stale.status().code(), StatusCode::kUnknownHandle);
+  // ... but the write replica dropped its cached handle, so the next
+  // statement re-mints it and reaches every replica.
+  auto fresh =
+      conn->ExecutePrepared(*stmt, {Value(int64_t{3}), Value(int64_t{0})});
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  for (int id : replicas) EXPECT_EQ(StockOn(id, 0), 3) << "machine " << id;
+}
+
+TEST_F(PreparedRpcTest, MachineRefusesHandleMintedForAnotherDatabase) {
+  Build();
+  std::vector<int> replicas = controller_->ReplicasOf("shop");
+  ASSERT_TRUE(controller_->CreateDatabaseOn("other", replicas).ok());
+  ASSERT_TRUE(controller_
+                  ->ExecuteDdl("other",
+                               "CREATE TABLE item (i_id INT PRIMARY KEY, "
+                               "i_title VARCHAR(40), i_stock INT)")
+                  .ok());
+  const int machine = replicas[0];
+  net::MachineClient* client = controller_->machine_client();
+  auto handle = client->PrepareStatement(
+      machine, "shop", "SELECT i_title FROM item WHERE i_id = ?");
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+
+  // Sends the shop handle inside a transaction on "other": the machine must
+  // not run shop's statement for it.
+  auto session = client->OpenSession(machine);
+  auto call = [&](auto issue) {
+    std::promise<net::RpcResponse> done;
+    auto reply = done.get_future();
+    issue([&done](net::RpcResponse response) {
+      done.set_value(std::move(response));
+    });
+    return reply.get();
+  };
+  constexpr uint64_t kTxn = 930'000;
+  ASSERT_TRUE(call([&](net::ResponseHandler h) {
+                session->BeginAsync(kTxn, "other", false, std::move(h));
+              }).ok());
+  net::RpcResponse response = call([&](net::ResponseHandler h) {
+    session->ExecuteAsync(kTxn, "other",
+                          net::StatementOnWire{.handle = *handle},
+                          {Value(int64_t{1})}, 0, std::move(h));
+  });
+  EXPECT_EQ(response.code, StatusCode::kUnknownHandle) << response.message;
+  EXPECT_TRUE(response.result.rows.empty());
+  EXPECT_TRUE(call([&](net::ResponseHandler h) {
+                session->AbortAsync(kTxn, std::move(h));
+              }).ok());
 }
 
 TEST_F(PreparedRpcTest, ConcurrentPreparedReadersAndWriters) {

@@ -224,7 +224,7 @@ TEST_F(SqlPlannerTest, PreparedStatementMatchesDirectExecution) {
   uint64_t txn = next_txn_++;
   ASSERT_TRUE(engine_->Begin(txn).ok());
   auto prepared =
-      engine_->ExecutePrepared(txn, *handle, {Value(int64_t{2})});
+      engine_->ExecutePrepared(txn, "app", *handle, {Value(int64_t{2})});
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   ASSERT_TRUE(engine_->Commit(txn).ok());
 
@@ -237,8 +237,8 @@ TEST_F(SqlPlannerTest, PreparedStatementMatchesDirectExecution) {
 TEST_F(SqlPlannerTest, ExecutePreparedRejectsUnknownHandle) {
   uint64_t txn = next_txn_++;
   ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto result = engine_->ExecutePrepared(txn, 424242, {});
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  auto result = engine_->ExecutePrepared(txn, "app", 424242, {});
+  EXPECT_EQ(result.status().code(), StatusCode::kUnknownHandle);
   ASSERT_TRUE(engine_->Abort(txn).ok());
 }
 
@@ -262,7 +262,8 @@ TEST_F(SqlPlannerTest, DroppedTableSurfacesNotFoundThroughPreparedHandle) {
   Exec("DROP TABLE item");
   uint64_t txn = next_txn_++;
   ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto result = engine_->ExecutePrepared(txn, *handle, {Value(int64_t{1})});
+  auto result =
+      engine_->ExecutePrepared(txn, "app", *handle, {Value(int64_t{1})});
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
   ASSERT_TRUE(engine_->Abort(txn).ok());
 }
@@ -274,7 +275,7 @@ TEST_F(SqlPlannerTest, CreateIndexUpgradesPreparedStatementPlan) {
 
   uint64_t txn = next_txn_++;
   ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto before = engine_->ExecutePrepared(txn, *handle, {Value("CS")});
+  auto before = engine_->ExecutePrepared(txn, "app", *handle, {Value("CS")});
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(engine_->Commit(txn).ok());
 
@@ -286,7 +287,7 @@ TEST_F(SqlPlannerTest, CreateIndexUpgradesPreparedStatementPlan) {
 
   txn = next_txn_++;
   ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto after = engine_->ExecutePrepared(txn, *handle, {Value("CS")});
+  auto after = engine_->ExecutePrepared(txn, "app", *handle, {Value("CS")});
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   ASSERT_TRUE(engine_->Commit(txn).ok());
   EXPECT_EQ(after->rows.size(), before->rows.size());

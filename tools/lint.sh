@@ -29,8 +29,8 @@ fi
 STATUS=0
 
 # --- mtdblint: project rules (raw-mutex, snapshot-lock, rpc-coverage,
-# detached-thread, todo-tag). Hard gate: no external dependencies, so
-# never skipped.
+# detached-thread, todo-tag, wal-sync, tenant-map, migration-state,
+# status-text). Hard gate: no external dependencies, so never skipped.
 MTDBLINT="${BUILD_DIR}/tools/mtdblint"
 if [ ! -x "${MTDBLINT}" ]; then
   MTDBLINT="${BUILD_DIR}/mtdblint-boot"

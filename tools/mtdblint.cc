@@ -1,6 +1,6 @@
 // mtdblint: project-rule checker for the mtdb tree.
 //
-// Eight rules, each encoding a convention the compiler cannot see:
+// Nine rules, each encoding a convention the compiler cannot see:
 //
 //   raw-mutex        Outside src/platform, code must lock through the
 //                    annotated platform::Mutex/Guard vocabulary — a raw
@@ -72,6 +72,16 @@
 //                    the migrator still believes begins are blocked).
 //                    Comparisons (`==`, `!=`, switch/case) are fine.
 //                    Escape: `mtdblint: allow(migration-state)`.
+//
+//   status-text      In src/, code branches on a Status's code, never on
+//                    its message text: `.message().find(` and
+//                    `.message() ==` / `!=` are flagged. Messages are for
+//                    humans and change freely; a branch that greps them
+//                    breaks silently when the wording moves (the stale
+//                    prepared-statement handle was once found that way; it
+//                    now has its own StatusCode::kUnknownHandle). Give the
+//                    condition a code instead, or add
+//                    `mtdblint: allow(status-text)` with a justification.
 //
 // Usage: mtdblint [repo-root]   (default: current directory)
 // Exit status: 0 clean, 1 findings, 2 usage/environment error.
@@ -225,6 +235,11 @@ bool AssignsMigrationState(const std::string& code) {
   return std::regex_search(code, kAssign);
 }
 
+bool InSrc(const std::string& rel) { return rel.rfind("src/", 0) == 0; }
+
+// A branch on a Status's message text (rule status-text).
+const std::regex kStatusTextRe(R"(\.message\(\)\s*(\.find\(|[=!]=))");
+
 // A string-keyed map declared as a *member* (trailing-underscore name on
 // the same line as the type). Locals and parameters — which die with their
 // scope — deliberately do not match; neither do underscore-less struct
@@ -357,6 +372,15 @@ void CheckFile(const fs::path& root, const fs::path& path) {
              "TenantMigrator is the state machine's only driver; read and "
              "compare the phase elsewhere, never write it, or add "
              "`mtdblint: allow(migration-state)` with a justification");
+    }
+
+    if (!self && InSrc(rel) && std::regex_search(code, kStatusTextRe) &&
+        !HasEscape(lines, i, "status-text")) {
+      Report(rel, lineno, "status-text",
+             "branch on a Status's message text: messages are for humans "
+             "and change freely; branch on status.code() (add a StatusCode "
+             "if none fits) or add `mtdblint: allow(status-text)` with a "
+             "justification");
     }
 
     size_t todo = raw.find("TODO");
