@@ -14,21 +14,26 @@
 //     the in-proc RPC path, unprepared (SQL text shipped and re-parsed at
 //     the controller for routing on every call) vs prepared (handles only).
 //     The machine latency model is zeroed so the SQL-path cost dominates.
-//     Three interleaved trials per variant; the medians are compared.
+//     Three interleaved trials per variant; the medians are compared. The
+//     prepared transaction's RPCs per transaction, by type, come from
+//     deltas of the client-side mtdb_rpc_total{operation} counters.
 //
 // Exits non-zero if prepared throughput is not strictly above unprepared in
-// either comparison — CI runs this as a smoke test of the plan cache.
+// either comparison, or if a cluster transaction failed — CI runs this as a
+// smoke test of the plan cache.
 #include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/cluster/cluster_controller.h"
 #include "src/common/clock.h"
 #include "src/common/random.h"
+#include "src/net/message.h"
 #include "src/obs/metrics.h"
 #include "src/sql/executor.h"
 #include "src/sql/parser.h"
@@ -85,9 +90,32 @@ double MeasureNs(int64_t duration_ms, Op op) {
   return watch.ElapsedSeconds() * 1e9 / static_cast<double>(ops);
 }
 
+// Every RpcType a client transaction can issue.
+constexpr std::array<net::RpcType, 8> kTxnRpcTypes = {
+    net::RpcType::kBegin,          net::RpcType::kExecute,
+    net::RpcType::kExecutePrepared, net::RpcType::kPrepareStatement,
+    net::RpcType::kPrepare,        net::RpcType::kCommit,
+    net::RpcType::kCommitPrepared, net::RpcType::kAbort};
+
+std::array<int64_t, kTxnRpcTypes.size()> TxnRpcCounts() {
+  std::array<int64_t, kTxnRpcTypes.size()> counts{};
+  for (size_t i = 0; i < kTxnRpcTypes.size(); ++i) {
+    counts[i] = obs::MetricsRegistry::Global().CounterValue(
+        "mtdb_rpc_total",
+        {.operation = std::string(net::RpcTypeName(kTxnRpcTypes[i]))});
+  }
+  return counts;
+}
+
 struct ClusterPair {
   double unprepared_tps = 0;
   double prepared_tps = 0;
+  // Prepared transaction: (RpcType name, RPCs per transaction), nonzero
+  // types only.
+  std::vector<std::pair<std::string, double>> prepared_rpcs_per_txn;
+  // Transactions of either variant with a failed statement or commit: the
+  // comparison is only meaningful at 0.
+  int64_t failed_txns = 0;
 };
 
 // One TPC-W home-interaction-shaped transaction (customer row + item row),
@@ -112,26 +140,30 @@ ClusterPair MeasureClusterRoundTrip(int64_t duration_ms) {
 
   auto conn = controller->Connect("shop");
   const std::string customer_sql =
-      "SELECT c_id, c_uname, c_discount FROM customer WHERE c_id = ?";
+      "SELECT c_id, c_uname, c_balance FROM customer WHERE c_id = ?";
   const std::string item_sql =
       "SELECT i_id, i_title, i_cost FROM item WHERE i_id = ?";
   auto customer_stmt = conn->Prepare(customer_sql);
   auto item_stmt = conn->Prepare(item_sql);
   if (!customer_stmt.ok() || !item_stmt.ok()) return {};
   Random rng(7);
+  int64_t prepared_txns = 0;
+  int64_t failed_txns = 0;
   auto measure = [&](bool use_handles) {
     return MeasureThroughput(duration_ms, [&](int64_t) {
       Value customer(static_cast<int64_t>(rng.Uniform(scale.customers)) + 1);
       Value item(static_cast<int64_t>(rng.Uniform(scale.items)) + 1);
-      (void)conn->Begin();
+      bool ok = conn->Begin().ok();
       if (use_handles) {
-        (void)conn->ExecutePrepared(*customer_stmt, {customer});
-        (void)conn->ExecutePrepared(*item_stmt, {item});
+        ok = conn->ExecutePrepared(*customer_stmt, {customer}).ok() && ok;
+        ok = conn->ExecutePrepared(*item_stmt, {item}).ok() && ok;
+        ++prepared_txns;
       } else {
-        (void)conn->Execute(customer_sql, {customer});
-        (void)conn->Execute(item_sql, {item});
+        ok = conn->Execute(customer_sql, {customer}).ok() && ok;
+        ok = conn->Execute(item_sql, {item}).ok() && ok;
       }
-      (void)conn->Commit();
+      ok = conn->Commit().ok() && ok;
+      if (!ok) ++failed_txns;
     });
   };
 
@@ -141,13 +173,30 @@ ClusterPair MeasureClusterRoundTrip(int64_t duration_ms) {
   // comparison rewards whichever variant got the single luckiest window.
   std::array<double, 3> unprepared{};
   std::array<double, 3> prepared{};
+  std::array<int64_t, kTxnRpcTypes.size()> prepared_rpcs{};
   for (int trial = 0; trial < 3; ++trial) {
     unprepared[trial] = measure(/*use_handles=*/false);
+    auto before = TxnRpcCounts();
     prepared[trial] = measure(/*use_handles=*/true);
+    auto after = TxnRpcCounts();
+    for (size_t i = 0; i < kTxnRpcTypes.size(); ++i) {
+      prepared_rpcs[i] += after[i] - before[i];
+    }
   }
   std::sort(unprepared.begin(), unprepared.end());
   std::sort(prepared.begin(), prepared.end());
-  return {.unprepared_tps = unprepared[1], .prepared_tps = prepared[1]};
+  ClusterPair pair;
+  pair.unprepared_tps = unprepared[1];
+  pair.prepared_tps = prepared[1];
+  pair.failed_txns = failed_txns;
+  for (size_t i = 0; i < kTxnRpcTypes.size(); ++i) {
+    if (prepared_rpcs[i] == 0 || prepared_txns == 0) continue;
+    pair.prepared_rpcs_per_txn.emplace_back(
+        std::string(net::RpcTypeName(kTxnRpcTypes[i])),
+        static_cast<double>(prepared_rpcs[i]) /
+            static_cast<double>(prepared_txns));
+  }
+  return pair;
 }
 
 int Run() {
@@ -230,6 +279,16 @@ int Run() {
   PrintRow({"cluster variant", "txns/sec"});
   PrintRow({"unprepared (SQL text over RPC)", Fmt(cluster.unprepared_tps, 0)});
   PrintRow({"prepared (handles over RPC)", Fmt(cluster.prepared_tps, 0)});
+  PrintRow({"prepared txn RPC type", "RPCs/txn"});
+  double rpcs_per_txn = 0;
+  std::string rpcs_json;
+  for (const auto& [type, per_txn] : cluster.prepared_rpcs_per_txn) {
+    PrintRow({type, Fmt(per_txn, 2)});
+    rpcs_per_txn += per_txn;
+    rpcs_json += "\"" + type + "\": " + Fmt(per_txn, 2) + ", ";
+  }
+  PrintRow({"total", Fmt(rpcs_per_txn, 2)});
+  PrintRow({"failed cluster txns", std::to_string(cluster.failed_txns)});
 
   // --- Section 4: what the metrics registry saw across the whole run ---
   // The plan-cache hit rate and the per-phase counters come straight from
@@ -268,6 +327,8 @@ int Run() {
         "\"text_cached\": %.0f, \"prepared\": %.0f},\n"
         "  \"cluster_txns_per_sec\": {\"unprepared\": %.0f, "
         "\"prepared\": %.0f},\n"
+        "  \"cluster_prepared_rpcs_per_txn\": {%s\"total\": %.2f},\n"
+        "  \"cluster_failed_txns\": %lld,\n"
         "  \"speedup\": {\"engine_prepared_over_unprepared\": %.2f, "
         "\"cluster_prepared_over_unprepared\": %.2f},\n"
         "  \"plan_cache\": {\"hits\": %lld, \"misses\": %lld, "
@@ -277,7 +338,8 @@ int Run() {
         "}\n",
         static_cast<long long>(duration_ms), parse_ns, plan_ns, execute_ns,
         unprepared, text_cached, prepared, cluster.unprepared_tps,
-        cluster.prepared_tps,
+        cluster.prepared_tps, rpcs_json.c_str(), rpcs_per_txn,
+        static_cast<long long>(cluster.failed_txns),
         unprepared > 0 ? prepared / unprepared : 0,
         cluster.unprepared_tps > 0
             ? cluster.prepared_tps / cluster.unprepared_tps
@@ -292,14 +354,18 @@ int Run() {
 
   // CI gate: preparing must pay. The engine comparison eliminates parse+plan
   // per call; the cluster comparison eliminates the controller-side routing
-  // parse and ships a u64 handle instead of SQL text.
-  bool ok = prepared > unprepared && cluster.prepared_tps > cluster.unprepared_tps;
-  std::printf("gate: prepared > unprepared (engine %.2fx, cluster %.2fx): %s\n",
-              unprepared > 0 ? prepared / unprepared : 0,
-              cluster.unprepared_tps > 0
-                  ? cluster.prepared_tps / cluster.unprepared_tps
-                  : 0,
-              ok ? "PASS" : "FAIL");
+  // parse and ships a u64 handle instead of SQL text. Both cluster variants
+  // must run their transactions without a failure.
+  bool ok = prepared > unprepared &&
+            cluster.prepared_tps > cluster.unprepared_tps &&
+            cluster.failed_txns == 0;
+  std::printf(
+      "gate: prepared > unprepared (engine %.2fx, cluster %.2fx), "
+      "%lld failed cluster txns: %s\n",
+      unprepared > 0 ? prepared / unprepared : 0,
+      cluster.unprepared_tps > 0 ? cluster.prepared_tps / cluster.unprepared_tps
+                                 : 0,
+      static_cast<long long>(cluster.failed_txns), ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }
 

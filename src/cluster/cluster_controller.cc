@@ -64,6 +64,28 @@ struct CallBarrier {
   }
 };
 
+// Sends one request through `issue` and waits for its reply.
+template <typename Issue>
+net::RpcResponse AwaitReply(Issue issue) {
+  auto done = std::make_shared<std::promise<net::RpcResponse>>();
+  auto future = done->get_future();
+  issue([done](net::RpcResponse response) {
+    done->set_value(std::move(response));
+  });
+  return future.get();
+}
+
+// Whether an execute that carried the transaction's begin left the
+// transaction running on the machine. A stale handle, a throttled admission
+// and an unreachable machine refuse before the begin; any other failure may
+// come from the statement itself, after it, so the machine counts as begun
+// (an abort sent to a machine without the transaction is a no-op).
+bool BeginRan(StatusCode code) {
+  return code != StatusCode::kUnknownHandle &&
+         code != StatusCode::kResourceExhausted &&
+         code != StatusCode::kUnavailable;
+}
+
 }  // namespace
 
 // ===== ClusterController =====
@@ -951,30 +973,15 @@ Status Connection::BeginInternal(bool read_only) {
   // A refused begin backs off and retries — throttled, never failed — with
   // the same policy as QoS admission; cutovers last milliseconds, far under
   // the retry budget.
-  bool cutover = false;
-  catalog::TenantCatalog::TenantRef ref =
-      controller_->catalog_.AcquireForTxn(db_name_, &cutover);
-  if (cutover) {
-    const ThrottleRetryPolicy& policy = controller_->options().throttle_retry;
-    int64_t deadline_us = NowMicros() + std::max<int64_t>(policy.budget_us, 0);
-    int64_t backoff_us = std::max<int64_t>(policy.initial_backoff_us, 1);
-    while (cutover) {
-      int64_t wait_us =
-          std::min(backoff_us, std::max<int64_t>(policy.max_backoff_us, 1));
-      wait_us += static_cast<int64_t>(
-          rng_.Uniform(static_cast<uint64_t>(wait_us / 2 + 1)));
-      if (NowMicros() + wait_us > deadline_us) {
-        return Status::ResourceExhausted("tenant " + db_name_ +
-                                         " is in a migration cutover");
-      }
-      obs::Increment(m_backoff_);
-      obs::Observe(m_backoff_wait_us_, wait_us);
-      std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
-      backoff_us = std::min(backoff_us * 2,
-                            std::max<int64_t>(policy.max_backoff_us, 1));
-      ref = controller_->catalog_.AcquireForTxn(db_name_, &cutover);
-    }
-  }
+  catalog::TenantCatalog::TenantRef ref;
+  net::RpcResponse pinned = RetryThrottled([&] {
+    bool cutover = false;
+    ref = controller_->catalog_.AcquireForTxn(db_name_, &cutover);
+    return cutover ? net::RpcResponse::FromStatus(Status::ResourceExhausted(
+                         "tenant " + db_name_ + " is in a migration cutover"))
+                   : net::RpcResponse();
+  });
+  if (!pinned.ok()) return pinned.ToStatus();
   txn_id_ = controller_->NextTxnId();
   active_ = true;
   // The pin lives for the transaction's lifetime: a pinned tenant's
@@ -1014,47 +1021,46 @@ void Connection::FinishTxnObservation(bool committed) {
   }
 }
 
-Status Connection::EnsureBegun(int machine_id) {
-  if (begun_machines_.count(machine_id) > 0) return Status::OK();
+net::RpcResponse Connection::RetryThrottled(
+    const std::function<net::RpcResponse()>& attempt) {
   const ThrottleRetryPolicy& policy = controller_->options().throttle_retry;
+  const int64_t max_backoff_us = std::max<int64_t>(policy.max_backoff_us, 1);
   int64_t deadline_us = NowMicros() + std::max<int64_t>(policy.budget_us, 0);
   int64_t backoff_us = std::max<int64_t>(policy.initial_backoff_us, 1);
   for (;;) {
-    // Synchronous: the reply carries the QoS admission verdict, and an op
-    // must not be queued behind a Begin that may be bounced.
-    auto done = std::make_shared<std::promise<net::RpcResponse>>();
-    auto future = done->get_future();
-    SessionFor(machine_id)
-        ->BeginAsync(txn_id_, db_name_, read_only_,
-                     [done](net::RpcResponse response) {
-                       done->set_value(std::move(response));
-                     });
-    net::RpcResponse response = future.get();
-    if (response.ok()) {
-      begun_machines_.insert(machine_id);
-      if (read_only_) snapshot_ts_ = response.snapshot_ts;
-      return Status::OK();
-    }
-    Status status = response.ToStatus();
-    if (status.code() != StatusCode::kResourceExhausted) return status;
-    // Throttled. The machine is alive and answering — this must never feed
+    net::RpcResponse response = attempt();
+    if (response.code != StatusCode::kResourceExhausted) return response;
+    // Throttled. The target is alive and answering — this must never feed
     // the failure/recovery path (failover would dogpile the tenant's load
-    // onto a replica). Honor the wire retry_after_us hint under a capped
-    // exponential backoff with jitter, against the SAME machine.
-    int64_t wait_us = std::max(response.retry_after_us, backoff_us);
-    wait_us = std::min(wait_us,
-                       std::max<int64_t>(policy.max_backoff_us, 1));
+    // onto a replica).
+    int64_t wait_us =
+        std::min(std::max(response.retry_after_us, backoff_us), max_backoff_us);
     wait_us += static_cast<int64_t>(
         rng_.Uniform(static_cast<uint64_t>(wait_us / 2 + 1)));
     if (NowMicros() + wait_us > deadline_us) {
-      return status;  // budget exhausted: surface the throttle to the caller
+      return response;  // budget exhausted: surface the throttle
     }
     obs::Increment(m_backoff_);
     obs::Observe(m_backoff_wait_us_, wait_us);
     std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
-    backoff_us = std::min(backoff_us * 2,
-                          std::max<int64_t>(policy.max_backoff_us, 1));
+    backoff_us = std::min(backoff_us * 2, max_backoff_us);
   }
+}
+
+Status Connection::EnsureBegun(int machine_id) {
+  if (begun_machines_.count(machine_id) > 0) return Status::OK();
+  // Synchronous: an op must not be queued behind a Begin that may be
+  // bounced.
+  net::RpcResponse response = RetryThrottled([&] {
+    return AwaitReply([&](net::ResponseHandler done) {
+      SessionFor(machine_id)
+          ->BeginAsync(txn_id_, db_name_, /*read_only=*/false,
+                       std::move(done));
+    });
+  });
+  if (!response.ok()) return response.ToStatus();
+  begun_machines_.insert(machine_id);
+  return Status::OK();
 }
 
 Result<sql::QueryResult> Connection::Execute(const std::string& sql,
@@ -1134,6 +1140,17 @@ Result<sql::QueryResult> Connection::ExecuteRead(
     MTDB_ASSIGN_OR_RETURN(
         int machine_id,
         controller_->PickReadMachine(db_name_, sticky_read_machine_));
+    // Once the snapshot served a read it lives on its pinned replica only:
+    // reading on elsewhere (the pin was marked failed) would splice a
+    // second, unrelated snapshot onto the reads already returned.
+    if (read_only_ && snapshot_read_done_ &&
+        machine_id != sticky_read_machine_) {
+      Status status = Status::Aborted(
+          "snapshot replica " + std::to_string(sticky_read_machine_) +
+          " failed after serving a read");
+      Poison(status);
+      return status;
+    }
     // Snapshot transactions pin every read to one replica regardless of the
     // configured read option: the snapshot timestamp is engine-local, so
     // reads spread across replicas would observe unrelated snapshots.
@@ -1142,18 +1159,28 @@ Result<sql::QueryResult> Connection::ExecuteRead(
       sticky_read_machine_ = machine_id;
     }
     auto wire = WireFor(stmt, machine_id);
-    Status status = wire.ok() ? EnsureBegun(machine_id) : wire.status();
-    if (status.ok()) {
+    Status status = wire.status();
+    if (wire.ok()) {
+      // The first read to a machine carries the transaction's begin there
+      // (admission included), saving the Begin round trip; a read-only
+      // snapshot is taken as that read arrives.
+      const bool begin = begun_machines_.count(machine_id) == 0;
+      const net::TxnStart start = !begin     ? net::TxnStart::kBegun
+                                  : read_only_ ? net::TxnStart::kBeginReadOnly
+                                               : net::TxnStart::kBegin;
       int64_t inject =
           controller_->InjectedLatency(label_, /*is_write=*/false, machine_id);
-      auto done = std::make_shared<std::promise<net::RpcResponse>>();
-      auto future = done->get_future();
-      SessionFor(machine_id)
-          ->ExecuteAsync(txn_id_, db_name_, *wire, params, inject,
-                         [done](net::RpcResponse response) {
-                           done->set_value(std::move(response));
-                         });
-      net::RpcResponse response = future.get();
+      net::RpcResponse response = RetryThrottled([&] {
+        return AwaitReply([&](net::ResponseHandler done) {
+          SessionFor(machine_id)
+              ->ExecuteAsync(txn_id_, db_name_, *wire, params, inject,
+                             std::move(done), start);
+        });
+      });
+      if (begin && BeginRan(response.code)) {
+        begun_machines_.insert(machine_id);
+        snapshot_ts_ = response.snapshot_ts;
+      }
       if (response.ok()) {
         snapshot_read_done_ = snapshot_read_done_ || read_only_;
         return std::move(response.result);
@@ -1179,7 +1206,7 @@ Result<sql::QueryResult> Connection::ExecuteRead(
         continue;  // pick another replica
       }
     }
-    // Anything else fails the statement. That includes a Begin throttled
+    // Anything else fails the statement. That includes a read throttled
     // past the retry budget (kResourceExhausted): throttled is not failed,
     // and retrying elsewhere would route the over-quota tenant's load onto
     // its other replicas.

@@ -204,13 +204,18 @@ class Connection {
   Status WaitOutstandingWrites();
   Status CommitInternal();
   Status AbortInternal(Status reason);
-  // Ensures the engine-side transaction exists on machine m. Synchronous:
-  // the Begin reply carries the QoS admission verdict, and a throttled
-  // (kResourceExhausted) verdict is retried against the same machine with
-  // capped exponential backoff + jitter, honoring the wire-carried
-  // retry_after_us hint, until the controller's throttle_retry budget runs
-  // out. Returns the final status; the machine joins begun_machines_ only on
-  // success, so later fan-outs and 2PC touch admitted machines only.
+  // Runs `attempt` until its answer is not throttled: a kResourceExhausted
+  // answer is retried against the SAME target after a capped exponential
+  // backoff with jitter that honors the answer's retry_after_us hint, until
+  // the controller's throttle_retry budget runs out. Returns the last
+  // answer. Throttled is not failed: nothing here feeds failover.
+  net::RpcResponse RetryThrottled(
+      const std::function<net::RpcResponse()>& attempt);
+  // Begins the transaction on write replica machine_id unless it already
+  // runs there (a read carries its machine's begin instead). Synchronous:
+  // the Begin reply carries the QoS admission verdict, retried per
+  // RetryThrottled. The machine joins begun_machines_ only on success, so
+  // later fan-outs and 2PC touch admitted machines only.
   Status EnsureBegun(int machine_id);
   net::MachineClient::Session* SessionFor(int machine_id);
   void Poison(const Status& status);
@@ -228,9 +233,10 @@ class Connection {
   bool active_ = false;
   uint64_t txn_id_ = 0;
   bool wrote_ = false;
-  // Snapshot mode (see Begin). snapshot_ts_ arrives with the pinned
-  // machine's Begin reply; snapshot_read_done_ flips on the first
-  // successful read, after which replica failover is forbidden.
+  // Snapshot mode (see Begin). snapshot_ts_ arrives with the reply to the
+  // first read, which begins the transaction on the pinned machine;
+  // snapshot_read_done_ flips on the first successful read, after which
+  // the transaction never reads from another replica.
   bool read_only_ = false;
   uint64_t snapshot_ts_ = 0;
   bool snapshot_read_done_ = false;

@@ -12,6 +12,11 @@ namespace {
 constexpr uint8_t kRequestTag = 0xA1;
 constexpr uint8_t kResponseTag = 0xA2;
 
+// Bits of the request flags byte.
+constexpr uint8_t kFlagReadOnly = 0x01;
+constexpr uint8_t kFlagBegin = 0x02;
+constexpr uint8_t kKnownFlags = kFlagReadOnly | kFlagBegin;
+
 void AppendU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
 }
@@ -293,7 +298,8 @@ void EncodeRequestFrame(const RpcRequest& request, std::string* out) {
   AppendU64(out, static_cast<uint64_t>(request.debug_delay_us));
   AppendU64(out, request.stmt_handle);
   AppendU64(out, request.trace_id);
-  AppendU8(out, request.read_only ? 1 : 0);
+  AppendU8(out, (request.read_only ? kFlagReadOnly : 0) |
+                    (request.begin ? kFlagBegin : 0));
   AppendU64(out, request.wal_cursor);
   AppendU32(out, static_cast<uint32_t>(request.lines.size()));
   for (const std::string& line : request.lines) AppendString(out, line);
@@ -381,7 +387,13 @@ Result<RpcRequest> DecodeRequest(std::string_view payload) {
   request.debug_delay_us = static_cast<int64_t>(in.ReadU64());
   request.stmt_handle = in.ReadU64();
   request.trace_id = in.ReadU64();
-  request.read_only = in.ReadU8() != 0;
+  uint8_t flags = in.ReadU8();
+  if ((flags & ~kKnownFlags) != 0) {
+    return Status::InvalidArgument("unknown request flags " +
+                                   std::to_string(flags));
+  }
+  request.read_only = (flags & kFlagReadOnly) != 0;
+  request.begin = (flags & kFlagBegin) != 0;
   request.wal_cursor = in.ReadU64();
   uint32_t lines = in.ReadCount();
   request.lines.reserve(lines);

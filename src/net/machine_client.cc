@@ -92,7 +92,8 @@ void MachineClient::Session::ExecuteAsync(uint64_t txn_id,
                                           StatementOnWire stmt,
                                           const std::vector<Value>& params,
                                           int64_t debug_delay_us,
-                                          ResponseHandler done) {
+                                          ResponseHandler done,
+                                          TxnStart start) {
   RpcRequest request;
   if (stmt.sql != nullptr) {
     request.type = RpcType::kExecute;
@@ -105,6 +106,8 @@ void MachineClient::Session::ExecuteAsync(uint64_t txn_id,
   request.db_name = db_name;
   request.params = params;
   request.debug_delay_us = debug_delay_us;
+  request.begin = start != TxnStart::kBegun;
+  request.read_only = start == TxnStart::kBeginReadOnly;
   request.trace_id = trace_id_.load(std::memory_order_relaxed);
   client_->CallWithDeadline(channel_.get(), machine_id_, request,
                             std::move(done));
@@ -381,17 +384,24 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
   state->trace_id = request.trace_id;
   state->start_us = NowMicros();
 
-  if (options_.call_timeout_us > 0) {
+  const bool armed = options_.call_timeout_us > 0;
+  if (armed) {
     auto deadline = std::chrono::steady_clock::now() +
                     std::chrono::microseconds(options_.call_timeout_us);
+    bool wake = false;
     {
       platform::Guard lock(watchdog_mu_);
-      deadlines_.emplace(deadline, state);
+      state->deadline = {deadline, next_deadline_seq_++};
+      deadlines_.emplace(state->deadline, state);
+      if (deadline < watchdog_wake_) {
+        watchdog_wake_ = deadline;
+        wake = true;
+      }
     }
-    watchdog_cv_.NotifyAll();
+    if (wake) watchdog_cv_.NotifyOne();
   }
 
-  channel->Call(request, [state](RpcResponse response) {
+  channel->Call(request, [this, state, armed](RpcResponse response) {
     ResponseHandler handler;
     {
       platform::Guard lock(state->mu);
@@ -399,6 +409,7 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
       state->done = true;
       handler = std::move(state->handler);
     }
+    if (armed) DisarmDeadline(*state);
     int64_t elapsed_us = NowMicros() - state->start_us;
     const ClientRpcMetrics& metrics = MetricsForType(state->type);
     obs::Increment(metrics.calls);
@@ -418,6 +429,18 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
   });
 }
 
+void MachineClient::DisarmDeadline(const CallState& state) {
+  // No wakeup: the watchdog, if it sleeps until this deadline, finds
+  // nothing due then and re-arms for the next one.
+  platform::Guard lock(watchdog_mu_);
+  deadlines_.erase(state.deadline);
+}
+
+size_t MachineClient::ArmedDeadlineCount() const {
+  platform::Guard lock(watchdog_mu_);
+  return deadlines_.size();
+}
+
 RpcResponse MachineClient::CallSync(Channel* channel, int machine_id,
                                     const RpcRequest& request) {
   auto done = std::make_shared<std::promise<RpcResponse>>();
@@ -433,17 +456,16 @@ void MachineClient::WatchdogLoop() {
   platform::UniqueLock lock(watchdog_mu_);
   while (!watchdog_stop_) {
     if (deadlines_.empty()) {
+      watchdog_wake_ = std::chrono::steady_clock::time_point::max();
       watchdog_cv_.Wait(lock);
       continue;
     }
-    auto next = deadlines_.begin()->first;
-    if (watchdog_cv_.WaitUntil(lock, next) == std::cv_status::no_timeout &&
-        watchdog_stop_) {
-      break;
-    }
+    watchdog_wake_ = deadlines_.begin()->first.first;
+    watchdog_cv_.WaitUntil(lock, watchdog_wake_);
+    if (watchdog_stop_) break;
     auto now = std::chrono::steady_clock::now();
     std::vector<std::shared_ptr<CallState>> expired;
-    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+    while (!deadlines_.empty() && deadlines_.begin()->first.first <= now) {
       expired.push_back(std::move(deadlines_.begin()->second));
       deadlines_.erase(deadlines_.begin());
     }

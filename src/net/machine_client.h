@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -34,6 +35,11 @@ struct StatementOnWire {
   const std::string* sql = nullptr;  // null: run `handle`
   uint64_t handle = 0;
 };
+
+// Whether an execute request also starts its transaction on the machine: a
+// Begin piggybacked on the request (QoS admission included), in read-write
+// or read-only snapshot mode.
+enum class TxnStart : uint8_t { kBegun, kBegin, kBeginReadOnly };
 
 // The controller's client stub for talking to machines. Everything the
 // cluster controller wants from a machine goes through here as an RPC; this
@@ -79,10 +85,16 @@ class MachineClient {
                     bool read_only, ResponseHandler done);
 
     // Runs one statement inside txn_id: kExecute for SQL text, or
-    // kExecutePrepared for a handle.
+    // kExecutePrepared for a handle. With `start` other than kBegun the
+    // machine first resolves the statement, then admits and begins txn_id
+    // exactly as BeginAsync would: a stale handle (kUnknownHandle) or a
+    // throttled begin (kResourceExhausted + retry_after_us) leaves no
+    // transaction behind, and a read-only begin's snapshot_ts rides the
+    // reply.
     void ExecuteAsync(uint64_t txn_id, const std::string& db_name,
                       StatementOnWire stmt, const std::vector<Value>& params,
-                      int64_t debug_delay_us, ResponseHandler done);
+                      int64_t debug_delay_us, ResponseHandler done,
+                      TxnStart start = TxnStart::kBegun);
     void PrepareAsync(uint64_t txn_id, ResponseHandler done);
     void CommitAsync(uint64_t txn_id, ResponseHandler done);
     void CommitPreparedAsync(uint64_t txn_id, ResponseHandler done);
@@ -168,7 +180,16 @@ class MachineClient {
   // recovered into a new process); the next control call reconnects.
   void ResetControlChannel(int machine_id);
 
+  // Deadlines currently armed: one per call still waiting for its reply or
+  // its expiry. Test hook.
+  size_t ArmedDeadlineCount() const;
+
  private:
+  // Deadlines in expiry order; the sequence number keeps keys unique so a
+  // completed call can erase exactly its own entry.
+  using DeadlineKey =
+      std::pair<std::chrono::steady_clock::time_point, uint64_t>;
+
   // Exactly-once completion record shared by the reply path and the
   // watchdog; whichever gets there first consumes the handler.
   struct CallState {
@@ -181,9 +202,11 @@ class MachineClient {
     RpcType type = RpcType::kHealth;
     uint64_t trace_id = 0;
     int64_t start_us = 0;  // send time, for the client-side latency metric
+    DeadlineKey deadline;  // its deadlines_ entry, when one is armed
   };
 
-  // Issues the call on `channel` with the deadline armed.
+  // Issues the call on `channel` with the deadline armed; the reply disarms
+  // it.
   void CallWithDeadline(Channel* channel, int machine_id,
                         const RpcRequest& request, ResponseHandler handler);
   RpcResponse CallSync(Channel* channel, int machine_id,
@@ -192,6 +215,7 @@ class MachineClient {
   RpcResponse ControlCall(int machine_id, const RpcRequest& request);
   Channel* ControlChannel(int machine_id);
 
+  void DisarmDeadline(const CallState& state);
   void WatchdogLoop();
   void OnTimeout(int machine_id);
 
@@ -203,11 +227,18 @@ class MachineClient {
       MTDB_GUARDED_BY(mu_);
   TimeoutListener timeout_listener_ MTDB_GUARDED_BY(mu_);
 
-  platform::Mutex watchdog_mu_{"net/MachineClient::watchdog_mu"};
+  mutable platform::Mutex watchdog_mu_{"net/MachineClient::watchdog_mu"};
   platform::CondVar watchdog_cv_;
-  std::multimap<std::chrono::steady_clock::time_point,
-                std::shared_ptr<CallState>>
-      deadlines_ MTDB_GUARDED_BY(watchdog_mu_);
+  std::map<DeadlineKey, std::shared_ptr<CallState>> deadlines_
+      MTDB_GUARDED_BY(watchdog_mu_);
+  uint64_t next_deadline_seq_ MTDB_GUARDED_BY(watchdog_mu_) = 0;
+  // When the watchdog next looks at deadlines_ (max: not until notified).
+  // A call is armed without a wakeup unless its deadline is earlier, so
+  // steady traffic never wakes the watchdog: every new deadline lies after
+  // the ones already armed, and replies erase theirs.
+  std::chrono::steady_clock::time_point watchdog_wake_
+      MTDB_GUARDED_BY(watchdog_mu_) =
+          std::chrono::steady_clock::time_point::max();
   bool watchdog_stop_ MTDB_GUARDED_BY(watchdog_mu_) = false;
   std::thread watchdog_;
 };

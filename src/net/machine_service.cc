@@ -85,41 +85,51 @@ RpcResponse MachineService::Dispatch(const RpcRequest& request) {
   return response;
 }
 
+RpcResponse MachineService::AdmitAndBegin(Engine* engine,
+                                          const RpcRequest& request) {
+  // QoS admission gates the transaction here, before any engine state
+  // exists: an over-quota tenant or a shedding machine answers with a fast
+  // kResourceExhausted + retry_after_us instead of queueing work.
+  // Everything after the begin (executes, 2PC completions) belongs to an
+  // already-admitted transaction and is never throttled, so a quota can
+  // never cut a replicated write off on a subset of replicas.
+  qos::AdmitDecision decision = machine_->AdmitBegin(request.db_name);
+  if (!decision.admitted) {
+    RpcResponse response = RpcResponse::FromStatus(Status::ResourceExhausted(
+        machine_->shedding() ? "machine overloaded, shedding load"
+                             : "tenant over admission quota"));
+    response.retry_after_us = decision.retry_after_us;
+    return response;
+  }
+  uint64_t snapshot_ts = 0;
+  RpcResponse response = RpcResponse::FromStatus(
+      engine->Begin(request.txn_id, request.read_only, &snapshot_ts));
+  response.snapshot_ts = snapshot_ts;
+  return response;
+}
+
 RpcResponse MachineService::DispatchTransactional(const RpcRequest& request) {
   auto engine = machine_->engine();
   switch (request.type) {
-    case RpcType::kBegin: {
-      // QoS admission gates the transaction here, before any engine state
-      // exists: an over-quota tenant or a shedding machine answers with a
-      // fast kResourceExhausted + retry_after_us instead of queueing work.
-      // Everything after Begin (executes, 2PC completions) belongs to an
-      // already-admitted transaction and is never throttled, so a quota can
-      // never cut a replicated write off on a subset of replicas.
-      qos::AdmitDecision decision = machine_->AdmitBegin(request.db_name);
-      if (!decision.admitted) {
-        RpcResponse response = RpcResponse::FromStatus(
-            Status::ResourceExhausted(
-                machine_->shedding() ? "machine overloaded, shedding load"
-                                     : "tenant over admission quota"));
-        response.retry_after_us = decision.retry_after_us;
-        return response;
-      }
-      uint64_t snapshot_ts = 0;
-      RpcResponse response = RpcResponse::FromStatus(
-          engine->Begin(request.txn_id, request.read_only, &snapshot_ts));
-      response.snapshot_ts = snapshot_ts;
-      return response;
-    }
+    case RpcType::kBegin:
+      return AdmitAndBegin(engine.get(), request);
     case RpcType::kExecute:
     case RpcType::kExecutePrepared: {
       // Resolve the plan (a plan-cache hit, a parse+plan of the text, or the
       // handle's plan) before the latency model, so cached statements skip
-      // straight to the op slot.
+      // straight to the op slot. A piggybacked begin runs only after the
+      // plan resolved: a stale handle leaves no transaction behind.
       auto plan_or =
           request.type == RpcType::kExecute
               ? engine->GetPlan(request.db_name, request.sql)
               : engine->PreparedPlan(request.db_name, request.stmt_handle);
       if (!plan_or.ok()) return RpcResponse::FromStatus(plan_or.status());
+      uint64_t snapshot_ts = 0;
+      if (request.begin) {
+        RpcResponse begun = AdmitAndBegin(engine.get(), request);
+        if (!begun.ok()) return begun;
+        snapshot_ts = begun.snapshot_ts;
+      }
       // Test-only injected latency is applied *before* taking an op slot,
       // matching the pre-RPC execution path so Table 1 anomaly schedules
       // stay deterministic.
@@ -135,6 +145,7 @@ RpcResponse MachineService::DispatchTransactional(const RpcRequest& request) {
       if (!result.ok()) return RpcResponse::FromStatus(result.status());
       RpcResponse response;
       response.result = std::move(*result);
+      response.snapshot_ts = snapshot_ts;
       return response;
     }
     case RpcType::kPrepare:

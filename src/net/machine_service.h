@@ -4,6 +4,7 @@
 #include "src/net/message.h"
 
 namespace mtdb {
+class Engine;
 class Machine;
 }
 
@@ -30,6 +31,9 @@ class MachineService {
  private:
   RpcResponse DispatchTransactional(const RpcRequest& request);
   RpcResponse DispatchControl(const RpcRequest& request);
+  // QoS admission, then engine->Begin for request.txn_id: the body of
+  // kBegin and of a Begin piggybacked on an execute request.
+  RpcResponse AdmitAndBegin(Engine* engine, const RpcRequest& request);
 
   Machine* machine_;
 };

@@ -71,6 +71,11 @@ struct RpcRequest {
   // from the MVCC snapshot without lock-manager traffic, writes are
   // rejected. Always on the wire; old-format frames fail decoding.
   bool read_only = false;
+  // kExecute / kExecutePrepared: begin txn_id (in read_only mode) before
+  // running the statement — a Begin piggybacked on the first read to a
+  // machine, QoS admission included. Rides the read_only byte as a flag
+  // bit; a frame with any other bit set fails decoding.
+  bool begin = false;
   // kWalDeltaRead: ship committed records for db_name past this source-WAL
   // frontier (LSN). UINT64_MAX is a capability probe: no lines, frontier
   // only. Always on the wire, like read_only.
@@ -98,9 +103,10 @@ struct RpcResponse {
   // 0 (the default, and the value on every non-throttled response) means
   // "no hint". Always on the wire, like trace_id/server_duration_us.
   int64_t retry_after_us = 0;
-  // kBegin on a read-only transaction: the engine-local MVCC snapshot
-  // timestamp assigned to it (0 for read-write begins and every other
-  // response type). Always on the wire, like retry_after_us.
+  // kBegin (or an execute carrying `begin`) on a read-only transaction: the
+  // engine-local MVCC snapshot timestamp assigned to it (0 for read-write
+  // begins and every other response). Always on the wire, like
+  // retry_after_us.
   uint64_t snapshot_ts = 0;
   // kWalDeltaRead: the source-WAL frontier (LSN of the last complete line)
   // the returned delta catches the caller up to; feed it back as the next

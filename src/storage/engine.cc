@@ -1,10 +1,13 @@
 #include "src/storage/engine.h"
 
+#include <atomic>
 #include <chrono>
 #include <functional>
+#include <random>
 #include <thread>
 
 #include "src/common/logging.h"
+#include "src/common/random.h"
 #include "src/sql/executor.h"
 #include "src/sql/parser.h"
 #include "src/sql/planner.h"
@@ -42,13 +45,26 @@ LockManagerOptions MakeLockOptions(const EngineOptions& options,
   return lock_options;
 }
 
+// The first statement handle of a new engine: random, with the top bit
+// clear so the counter never wraps around to 0 (not a handle). Mixing in a
+// process-wide engine count keeps two engines apart even if the entropy
+// source repeats.
+Engine::StatementHandle FirstStatementHandle() {
+  static std::atomic<uint64_t> engines{0};
+  std::random_device entropy;
+  uint64_t seed = (static_cast<uint64_t>(entropy()) << 32) ^ entropy() ^
+                  (engines.fetch_add(1) * 0x9E3779B97F4A7C15ULL);
+  return (Random(seed).Next() >> 1) + 1;
+}
+
 }  // namespace
 
 Engine::Engine(std::string site_name, EngineOptions options)
     : site_name_(std::move(site_name)),
       options_(options),
       lock_manager_(MakeLockOptions(options, site_name_)),
-      buffer_cache_(options.buffer_pool_pages) {
+      buffer_cache_(options.buffer_pool_pages),
+      next_stmt_handle_(FirstStatementHandle()) {
   if (options_.invariant_checks) {
     txn_checker_ = std::make_unique<analysis::TwoPhaseCommitChecker>();
   }

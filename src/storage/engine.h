@@ -135,6 +135,9 @@ class Engine {
   // inside `txn_id`. A handle only resolves in the database it was minted
   // for: an unknown handle, or one minted for another database, is
   // kUnknownHandle; a handle whose table was dropped returns kNotFound.
+  // Each engine numbers its handles from a random 64-bit offset, so a
+  // handle minted by an earlier engine on the same machine is unknown to a
+  // restarted one instead of naming whatever it minted since.
   // Named PrepareStatement because Prepare(uint64_t) is the 2PC participant
   // vote.
   using StatementHandle = uint64_t;
@@ -351,7 +354,10 @@ class Engine {
       MTDB_GUARDED_BY(plan_mu_);
   std::map<StatementHandle, PreparedStmt> prepared_stmts_
       MTDB_GUARDED_BY(plan_mu_);
-  StatementHandle next_stmt_handle_ MTDB_GUARDED_BY(plan_mu_) = 1;
+  // Starts at a random offset (see engine.cc), so an engine restarted
+  // behind a stable endpoint does not re-mint numbers a controller still
+  // caches for other statements.
+  StatementHandle next_stmt_handle_ MTDB_GUARDED_BY(plan_mu_);
   std::atomic<int64_t> plan_cache_hits_{0};
   std::atomic<int64_t> plan_cache_misses_{0};
 

@@ -2,9 +2,11 @@
 // transaction state machine, poisoning, and statistics accounting.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 
 #include "src/cluster/cluster_controller.h"
+#include "src/net/inproc_transport.h"
 
 namespace mtdb {
 namespace {
@@ -160,6 +162,74 @@ TEST_F(ConnectionTest, StatsAggregateAcrossEngines) {
   }
   EXPECT_EQ(controller_->committed_transactions(), 5);
   EXPECT_EQ(engine_commits, 10);
+}
+
+// A snapshot lives on the replica that served its first read. If that
+// replica is marked failed, the next read must not quietly begin a second,
+// unrelated snapshot on the survivor.
+TEST_F(ConnectionTest, SnapshotRefusesReadAfterPinnedReplicaFails) {
+  auto conn = controller_->Connect("db");
+  ASSERT_TRUE(conn->Execute("INSERT INTO t VALUES (1, 1)").ok());
+  ASSERT_TRUE(conn->Begin(/*read_only=*/true).ok());
+  ASSERT_TRUE(conn->Execute("SELECT v FROM t WHERE id = 1").ok());
+  int pinned = -1;
+  for (int id : controller_->ReplicasOf("db")) {
+    if (controller_->machine(id)->engine()->ActiveTxnCount() > 0) pinned = id;
+  }
+  ASSERT_NE(pinned, -1) << "no replica holds the snapshot";
+  const int survivor = 1 - pinned;
+  controller_->FailMachine(pinned);
+
+  auto second = conn->Execute("SELECT v FROM t WHERE id = 1");
+  EXPECT_EQ(second.status().code(), StatusCode::kAborted)
+      << second.status().ToString();
+  EXPECT_EQ(controller_->machine(survivor)->engine()->ActiveTxnCount(), 0u)
+      << "a second snapshot was begun on the surviving replica";
+  EXPECT_FALSE(conn->Commit().ok());
+  EXPECT_FALSE(conn->in_transaction());
+}
+
+// The first read to a machine carries the transaction's begin; only a write
+// replica no read touched gets a Begin RPC of its own.
+TEST_F(ConnectionTest, FirstReadToAMachineCarriesTheBegin) {
+  auto conn = controller_->Connect("db");
+  ASSERT_TRUE(conn->Execute("INSERT INTO t VALUES (1, 1)").ok());
+  std::atomic<int> begins{0};
+  std::atomic<int> executes{0};
+  std::atomic<int> piggybacked{0};
+  net::InProcTransport* transport = controller_->inproc_transport();
+  transport->SetFaultHook([&](int, const net::RpcRequest& request) {
+    if (request.type == net::RpcType::kBegin) begins.fetch_add(1);
+    if (request.type == net::RpcType::kExecute) {
+      executes.fetch_add(1);
+      if (request.begin) piggybacked.fetch_add(1);
+    }
+    return net::InProcTransport::Fault::kDeliver;
+  });
+
+  ASSERT_TRUE(conn->Begin(/*read_only=*/true).ok());
+  ASSERT_TRUE(conn->Execute("SELECT v FROM t WHERE id = 1").ok());
+  EXPECT_NE(conn->snapshot_ts(), 0u);
+  ASSERT_TRUE(conn->Execute("SELECT v FROM t WHERE id = 1").ok());
+  ASSERT_TRUE(conn->Commit().ok());
+  EXPECT_EQ(begins.load(), 0);
+  EXPECT_EQ(executes.load(), 2);
+  EXPECT_EQ(piggybacked.load(), 1);
+
+  begins = 0;
+  executes = 0;
+  piggybacked = 0;
+  ASSERT_TRUE(conn->Begin().ok());
+  ASSERT_TRUE(conn->Execute("SELECT v FROM t WHERE id = 1").ok());
+  ASSERT_TRUE(conn->Execute("UPDATE t SET v = 2 WHERE id = 1").ok());
+  ASSERT_TRUE(conn->Commit().ok());
+  transport->SetFaultHook(nullptr);
+  EXPECT_EQ(begins.load(), 1);  // the replica the read did not touch
+  EXPECT_EQ(executes.load(), 3);
+  EXPECT_EQ(piggybacked.load(), 1);
+  for (int id : controller_->ReplicasOf("db")) {
+    EXPECT_EQ(controller_->machine(id)->engine()->ActiveTxnCount(), 0u);
+  }
 }
 
 }  // namespace

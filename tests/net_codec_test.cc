@@ -322,6 +322,64 @@ TEST(NetCodecTest, BeginReadOnlyFlagRoundTrips) {
   EXPECT_FALSE(RoundTripRequest(execute).read_only);
 }
 
+TEST(NetCodecTest, PiggybackedBeginFlagRoundTrips) {
+  // An execute request can carry its transaction's begin: a second bit in
+  // the read_only byte, independent of the first.
+  RpcRequest execute;
+  execute.type = RpcType::kExecutePrepared;
+  execute.txn_id = 311;
+  execute.db_name = "shop";
+  execute.stmt_handle = 0x123456789ull;
+  for (bool begin : {false, true}) {
+    for (bool read_only : {false, true}) {
+      execute.begin = begin;
+      execute.read_only = read_only;
+      RpcRequest out = RoundTripRequest(execute);
+      EXPECT_EQ(out.begin, begin) << "read_only " << read_only;
+      EXPECT_EQ(out.read_only, read_only) << "begin " << begin;
+      EXPECT_EQ(out.stmt_handle, execute.stmt_handle);
+    }
+  }
+  EXPECT_FALSE(RoundTripRequest(RpcRequest{}).begin);
+}
+
+TEST(NetCodecTest, PiggybackedBeginRequestTruncationIsRejected) {
+  RpcRequest request;
+  request.type = RpcType::kExecute;
+  request.txn_id = 312;
+  request.db_name = "shop";
+  request.sql = "SELECT i_title FROM item WHERE i_id = ?";
+  request.params = {Value(int64_t{3})};
+  request.begin = true;
+  request.read_only = true;
+  std::string frame;
+  EncodeRequestFrame(request, &frame);
+  ExpectPrefixAndSuffixRejected(
+      frame, [](std::string_view payload) { return DecodeRequest(payload); });
+}
+
+TEST(NetCodecTest, UnknownRequestFlagBitsAreRejected) {
+  RpcRequest request;
+  request.type = RpcType::kExecute;
+  request.sql = "SELECT 1";
+  request.begin = true;
+  request.read_only = true;
+  std::string frame;
+  EncodeRequestFrame(request, &frame);
+  std::string payload(PayloadOf(frame));
+  // The request ends with the flags byte, wal_cursor (u64) and an empty
+  // line list (u32 count).
+  const size_t flags_at = payload.size() - 1 - 8 - 4;
+  ASSERT_EQ(static_cast<uint8_t>(payload[flags_at]), 0x03);
+  for (uint8_t flags : {0x04, 0x07, 0x80, 0xff}) {
+    std::string corrupt = payload;
+    corrupt[flags_at] = static_cast<char>(flags);
+    auto decoded = DecodeRequest(corrupt);
+    EXPECT_FALSE(decoded.ok()) << "flags " << static_cast<int>(flags);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(NetCodecTest, SnapshotTimestampRoundTrips) {
   // BEGIN responses for read-only transactions return the snapshot
   // timestamp; every other response carries the 0 sentinel.

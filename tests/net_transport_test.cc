@@ -8,13 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
+#include <thread>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster_controller.h"
 #include "src/cluster/recovery.h"
 #include "src/net/inproc_transport.h"
+#include "src/net/machine_client.h"
+#include "src/net/machine_service.h"
 #include "src/obs/metrics.h"
 
 namespace mtdb {
@@ -199,6 +204,65 @@ TEST_F(NetTransportTest, DroppedControlRequestSurfacesAsUnavailable) {
   EXPECT_TRUE(controller_->DatabaseNames() ==
               std::vector<std::string>{"shop"});
   transport->SetFaultHook(nullptr);
+}
+
+// The deadline watchdog at the MachineClient level: a reply disarms its
+// call's deadline (nothing stays armed once traffic is quiescent), and a
+// lost reply still expires into kUnavailable plus the timeout listener.
+TEST(MachineClientDeadlineTest, RepliesDisarmAndALostReplyStillTimesOut) {
+  Machine machine(0, MachineOptions{});
+  net::MachineService service(&machine);
+  net::InProcTransport transport;
+  transport.AttachLocal(0, &service);
+  // Generous for healthy calls under TSan; the lost reply waits it out.
+  net::MachineClient client(&transport, {.call_timeout_us = 1'000'000});
+  std::atomic<int> timeouts{0};
+  client.SetTimeoutListener([&timeouts](int machine_id) {
+    if (machine_id == 0) timeouts.fetch_add(1);
+  });
+  ASSERT_TRUE(client.CreateDatabase(0, "db").ok());
+
+  // Control calls and session calls, each completed by its reply.
+  auto session = client.OpenSession(0);
+  auto call = [](auto issue) {
+    std::promise<net::RpcResponse> done;
+    auto reply = done.get_future();
+    issue([&done](net::RpcResponse response) {
+      done.set_value(std::move(response));
+    });
+    return reply.get();
+  };
+  for (uint64_t txn = 1; txn <= 20; ++txn) {
+    ASSERT_TRUE(client.Health(0).ok());
+    ASSERT_TRUE(call([&](net::ResponseHandler h) {
+                  session->BeginAsync(txn, "db", false, std::move(h));
+                }).ok());
+    ASSERT_TRUE(call([&](net::ResponseHandler h) {
+                  session->CommitAsync(txn, std::move(h));
+                }).ok());
+  }
+  EXPECT_EQ(client.ArmedDeadlineCount(), 0u);
+
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::MetricLabels has_db{.operation = "HasDatabase"};
+  int64_t timeouts_before =
+      registry.CounterValue("mtdb_rpc_timeout_total", has_db);
+  transport.SetFaultHook([](int, const net::RpcRequest& request) {
+    return request.type == net::RpcType::kHasDatabase
+               ? net::InProcTransport::Fault::kDropReply
+               : net::InProcTransport::Fault::kDeliver;
+  });
+  Status lost = client.HasDatabase(0, "db");
+  EXPECT_EQ(lost.code(), StatusCode::kUnavailable) << lost.ToString();
+  // The listener runs right after the expired call's handler.
+  for (int i = 0; i < 500 && timeouts.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(timeouts.load(), 1);
+  EXPECT_EQ(registry.CounterValue("mtdb_rpc_timeout_total", has_db),
+            timeouts_before + 1);
+  EXPECT_EQ(client.ArmedDeadlineCount(), 0u);
+  transport.SetFaultHook(nullptr);
 }
 
 }  // namespace

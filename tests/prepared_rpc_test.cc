@@ -341,6 +341,82 @@ TEST_F(PreparedRpcTest, MachineRefusesHandleMintedForAnotherDatabase) {
               }).ok());
 }
 
+TEST_F(PreparedRpcTest, RestartedEngineRefusesHandlesOfItsPredecessor) {
+  Build();
+  const int machine = controller_->ReplicasOf("shop")[0];
+  net::MachineClient* client = controller_->machine_client();
+  auto stale = client->PrepareStatement(
+      machine, "shop", "SELECT i_title FROM item WHERE i_id = ?");
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  RestartEngines({machine}, machine);
+  // The restarted engine mints a handle for another statement of the same
+  // database; the handle cached from its predecessor must not name it.
+  auto fresh = client->PrepareStatement(
+      machine, "shop", "SELECT i_stock FROM item WHERE i_id = ?");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+  auto session = client->OpenSession(machine);
+  auto call = [&](auto issue) {
+    std::promise<net::RpcResponse> done;
+    auto reply = done.get_future();
+    issue([&done](net::RpcResponse response) {
+      done.set_value(std::move(response));
+    });
+    return reply.get();
+  };
+  constexpr uint64_t kTxn = 931'000;
+  ASSERT_TRUE(call([&](net::ResponseHandler h) {
+                session->BeginAsync(kTxn, "shop", false, std::move(h));
+              }).ok());
+  net::RpcResponse response = call([&](net::ResponseHandler h) {
+    session->ExecuteAsync(kTxn, "shop", net::StatementOnWire{.handle = *stale},
+                          {Value(int64_t{1})}, 0, std::move(h));
+  });
+  EXPECT_EQ(response.code, StatusCode::kUnknownHandle) << response.message;
+  EXPECT_TRUE(response.result.rows.empty());
+  EXPECT_TRUE(call([&](net::ResponseHandler h) {
+                session->AbortAsync(kTxn, std::move(h));
+              }).ok());
+}
+
+TEST_F(PreparedRpcTest, PiggybackedBeginWithStaleHandleLeavesNoTransaction) {
+  Build();
+  const int machine = controller_->ReplicasOf("shop")[0];
+  net::MachineClient* client = controller_->machine_client();
+  auto stale = client->PrepareStatement(
+      machine, "shop", "SELECT i_title FROM item WHERE i_id = ?");
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  RestartEngines({machine}, machine);
+
+  auto session = client->OpenSession(machine);
+  auto execute = [&](uint64_t handle) {
+    std::promise<net::RpcResponse> done;
+    auto reply = done.get_future();
+    session->ExecuteAsync(
+        932'000, "shop", net::StatementOnWire{.handle = handle},
+        {Value(int64_t{1})}, 0,
+        [&done](net::RpcResponse response) {
+          done.set_value(std::move(response));
+        },
+        net::TxnStart::kBeginReadOnly);
+    return reply.get();
+  };
+  // The handle is resolved before the begin: refused, nothing begun ...
+  net::RpcResponse refused = execute(*stale);
+  EXPECT_EQ(refused.code, StatusCode::kUnknownHandle) << refused.message;
+  auto engine = controller_->machine(machine)->engine();
+  EXPECT_EQ(engine->ActiveTxnCount(), 0u);
+  // ... so the same request with a fresh handle begins the snapshot.
+  auto fresh = client->PrepareStatement(
+      machine, "shop", "SELECT i_title FROM item WHERE i_id = ?");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  net::RpcResponse served = execute(*fresh);
+  ASSERT_TRUE(served.ok()) << served.message;
+  EXPECT_EQ(served.result.at(0, 0).AsString(), "title-1");
+  EXPECT_EQ(engine->ActiveTxnCount(), 1u);
+  EXPECT_TRUE(engine->Commit(932'000).ok());
+}
+
 TEST_F(PreparedRpcTest, ConcurrentPreparedReadersAndWriters) {
   Build();
   constexpr int kThreads = 4;

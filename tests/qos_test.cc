@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 
 #include "src/cluster/cluster_controller.h"
 #include "src/common/random.h"
+#include "src/net/inproc_transport.h"
 #include "src/obs/metrics.h"
 #include "src/qos/admission.h"
 #include "src/qos/fair_queue.h"
@@ -392,6 +394,71 @@ TEST_F(QosClusterTest, BackoffRetriesAbsorbAModestOverrun) {
       registry.CounterValue("mtdb_qos_backoff_total", {.database = "app"}),
       backoffs_before)
       << "20 txns at 200 tps/burst 1 should have backed off at least once";
+}
+
+// A first read carries its transaction's begin, so QoS admission bounces
+// the read itself. A bounced read ran nothing: it backs off and retries
+// against the SAME replica, never failing over to the tenant's other one.
+TEST(QosPiggybackTest, ThrottledFirstReadBacksOffOnItsOwnReplica) {
+  ClusterControllerOptions options;
+  options.read_option = ReadRoutingOption::kPerOperation;
+  ClusterController controller(options);
+  controller.AddMachine();
+  controller.AddMachine();
+  ASSERT_TRUE(controller.CreateDatabase("app", 2).ok());
+  ASSERT_TRUE(controller
+                  .ExecuteDdl("app",
+                              "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+                  .ok());
+  ASSERT_TRUE(controller.BulkLoad("app", "t", {{Value(int64_t{1}),
+                                                Value(int64_t{7})}})
+                  .ok());
+  qos::QuotaSpec spec;
+  spec.rate_tps = 200;
+  spec.burst = 1;
+  ASSERT_TRUE(controller.SetDatabaseQuota("app", spec).ok());
+
+  // Which machines each transaction's requests reached, and every Begin.
+  std::mutex mu;
+  std::map<uint64_t, std::set<int>> machines_of_txn;
+  std::atomic<int> begins{0};
+  controller.inproc_transport()->SetFaultHook(
+      [&](int machine_id, const net::RpcRequest& request) {
+        if (request.type == net::RpcType::kBegin) begins.fetch_add(1);
+        if (request.type == net::RpcType::kExecute) {
+          std::lock_guard<std::mutex> lock(mu);
+          machines_of_txn[request.txn_id].insert(machine_id);
+        }
+        return net::InProcTransport::Fault::kDeliver;
+      });
+
+  auto& registry = obs::MetricsRegistry::Global();
+  int64_t backoffs_before =
+      registry.CounterValue("mtdb_qos_backoff_total", {.database = "app"});
+  int64_t failovers_before =
+      registry.SumCounter("mtdb_machine_failover_total");
+  auto conn = controller.Connect("app");
+  for (int i = 0; i < 20; ++i) {
+    auto result = conn->Execute("SELECT v FROM t WHERE id = 1");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->at(0, 0).AsInt(), 7);
+  }
+  controller.inproc_transport()->SetFaultHook(nullptr);
+
+  EXPECT_GT(
+      registry.CounterValue("mtdb_qos_backoff_total", {.database = "app"}),
+      backoffs_before)
+      << "20 reads at 200 tps/burst 1 should have been throttled";
+  EXPECT_EQ(begins.load(), 0);
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(machines_of_txn.size(), 20u);
+  for (const auto& [txn_id, machines] : machines_of_txn) {
+    EXPECT_EQ(machines.size(), 1u) << "txn " << txn_id << " failed over";
+  }
+  EXPECT_EQ(registry.SumCounter("mtdb_machine_failover_total"),
+            failovers_before);
+  EXPECT_FALSE(controller.machine(0)->failed());
+  EXPECT_FALSE(controller.machine(1)->failed());
 }
 
 }  // namespace
