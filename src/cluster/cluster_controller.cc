@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <optional>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -249,10 +250,9 @@ Status ClusterController::CreateDatabaseOn(const std::string& db_name,
     uint64_t rr = replica_set_rr_[machine_ids]++;
     record.primary_offset =
         static_cast<int>(rr % machine_ids.size());
-    for (int id : machine_ids) machine_replica_load_[id]++;
-    backup_.replica_map[db_name] = machine_ids;
   }
   catalog_.Install(db_name, std::move(record));
+  ReplicaSetChanged(db_name, {}, machine_ids);
   return Status::OK();
 }
 
@@ -268,16 +268,8 @@ Status ClusterController::DropDatabase(const std::string& db_name) {
   // skips the load accounting below. The entry's prepared registrations
   // die with it.
   MTDB_RETURN_IF_ERROR(catalog_.Erase(db_name));
-  std::vector<int> alive;
-  {
-    platform::Guard lock(mu_);
-    for (int id : replicas) {
-      machine_replica_load_[id]--;
-      if (!machines_[id]->failed()) alive.push_back(id);
-    }
-    backup_.replica_map.erase(db_name);
-  }
-  for (int id : alive) {
+  ReplicaSetChanged(db_name, replicas, {});
+  for (int id : AliveReplicas(replicas)) {
     (void)client_->DropDatabase(id, db_name);
   }
   // Drop the derived per-tenant state eviction would have dropped: the
@@ -455,9 +447,6 @@ Status ClusterController::MarkTableCopied(const std::string& db_name,
 }
 
 Status ClusterController::CompleteCopy(const std::string& db_name) {
-  int target = -1;
-  qos::QuotaSpec quota;
-  bool push_quota = false;
   // Snapshot machine aliveness under mu_ first: the record mutation below
   // runs under the catalog shard lock, which is never nested with mu_.
   std::vector<char> failed;
@@ -477,7 +466,6 @@ Status ClusterController::CompleteCopy(const std::string& db_name) {
           status = Status::FailedPrecondition("no active copy for " + db_name);
           return;
         }
-        target = record.copy.target_machine;
         old_replicas = record.replicas;
         record.replicas.push_back(record.copy.target_machine);
         // Failed machines have been replaced; drop them from the replica
@@ -486,32 +474,10 @@ Status ClusterController::CompleteCopy(const std::string& db_name) {
                       [&failed](int id) { return failed[id] != 0; });
         record.copy = catalog::CopyState{};
         new_replicas = record.replicas;
-        if (record.has_quota) {
-          quota = record.quota;
-          if (record.live_rate_tps > 0) quota.rate_tps = record.live_rate_tps;
-          push_quota = true;
-        }
       });
   MTDB_RETURN_IF_ERROR(found);
   MTDB_RETURN_IF_ERROR(status);
-  {
-    platform::Guard lock(mu_);
-    // Replica-count bookkeeping for least-loaded placement: apply the
-    // multiset delta between the new and old replica lists (the target
-    // joined; pruned failed machines left).
-    for (int id : new_replicas) machine_replica_load_[id]++;
-    for (int id : old_replicas) machine_replica_load_[id]--;
-    backup_.replica_map[db_name] = new_replicas;
-  }
-  // The target may be a restarted process behind a stable endpoint; any
-  // handle minted against its previous incarnation is stale.
-  InvalidateHandles(target);
-  // The quota follows the database: a freshly promoted replica must throttle
-  // the tenant exactly like the replicas it joined.
-  if (push_quota) {
-    (void)client_->SetQuota(target, db_name, quota.rate_tps, quota.burst,
-                            quota.weight);
-  }
+  ReplicaSetChanged(db_name, old_replicas, new_replicas);
   return Status::OK();
 }
 
@@ -535,9 +501,8 @@ Status ClusterController::SwapReplica(const std::string& db_name,
     }
   }
   Status status = Status::OK();
+  std::vector<int> old_replicas;
   std::vector<int> new_replicas;
-  qos::QuotaSpec quota;
-  bool push_quota = false;
   Status found = catalog_.With(db_name, [&](catalog::TenantRecord& record) {
     auto it = std::find(record.replicas.begin(), record.replicas.end(),
                         source_machine);
@@ -554,33 +519,45 @@ Status ClusterController::SwapReplica(const std::string& db_name,
           std::to_string(target_machine));
       return;
     }
+    old_replicas = record.replicas;
     *it = target_machine;
     new_replicas = record.replicas;
-    if (record.has_quota) {
-      quota = record.quota;
-      if (record.live_rate_tps > 0) quota.rate_tps = record.live_rate_tps;
-      push_quota = true;
-    }
   });
   MTDB_RETURN_IF_ERROR(found);
   MTDB_RETURN_IF_ERROR(status);
+  ReplicaSetChanged(db_name, old_replicas, new_replicas);
+  return Status::OK();
+}
+
+void ClusterController::ReplicaSetChanged(const std::string& db_name,
+                                          const std::vector<int>& before,
+                                          const std::vector<int>& after) {
+  std::vector<int> joined;
   {
     platform::Guard lock(mu_);
-    if (source_machine >= 0 &&
-        source_machine < static_cast<int>(machine_replica_load_.size())) {
-      machine_replica_load_[source_machine]--;
+    for (int id : before) machine_replica_load_[id]--;
+    for (int id : after) {
+      machine_replica_load_[id]++;
+      if (std::count(before.begin(), before.end(), id) == 0) {
+        joined.push_back(id);
+      }
     }
-    machine_replica_load_[target_machine]++;
-    backup_.replica_map[db_name] = new_replicas;
   }
-  // The admission quota follows the tenant to its new home immediately;
-  // without this, the target would serve unthrottled until the next
-  // RefreshQuotasFromLoad pass noticed the move.
-  if (push_quota) {
-    (void)client_->SetQuota(target_machine, db_name, quota.rate_tps,
-                            quota.burst, quota.weight);
+  if (joined.empty()) return;
+  // The quota follows the tenant: a machine that joins must throttle it
+  // exactly like the replicas it joined, not serve it unthrottled until the
+  // next RefreshQuotasFromLoad pass notices the move.
+  std::optional<qos::QuotaSpec> quota;
+  (void)catalog_.With(db_name, [&](const catalog::TenantRecord& record) {
+    if (!record.has_quota) return;
+    quota = record.quota;
+    if (record.live_rate_tps > 0) quota->rate_tps = record.live_rate_tps;
+  });
+  if (!quota) return;
+  for (int id : joined) {
+    (void)client_->SetQuota(id, db_name, quota->rate_tps, quota->burst,
+                            quota->weight);
   }
-  return Status::OK();
 }
 
 // --- QoS / admission control ---
@@ -777,8 +754,10 @@ void ClusterController::EndInflightWrite(const std::string& db_name,
                                          const std::string& table) {
   {
     platform::Guard lock(inflight_mu_);
-    inflight_writes_[db_name]--;
-    inflight_writes_[db_name + "/" + table]--;
+    for (const std::string& key : {db_name, db_name + "/" + table}) {
+      auto it = inflight_writes_.find(key);
+      if (--it->second == 0) inflight_writes_.erase(it);
+    }
   }
   inflight_cv_.NotifyAll();
 }
@@ -789,19 +768,24 @@ void ClusterController::WaitForQuiescentWrites(const std::string& db_name,
   platform::UniqueLock lock(inflight_mu_);
   for (;;) {
     auto it = inflight_writes_.find(key);
-    if (it == inflight_writes_.end() || it->second == 0) break;
+    if (it == inflight_writes_.end()) break;
     inflight_cv_.Wait(lock);
   }
 }
 
+size_t ClusterController::InflightWriteKeyCount() const {
+  platform::Guard lock(inflight_mu_);
+  return inflight_writes_.size();
+}
+
 void ClusterController::LogCommitDecision(uint64_t txn_id) {
   platform::Guard lock(mu_);
-  backup_.commit_decisions.insert(txn_id);
+  commit_decisions_.insert(txn_id);
 }
 
 void ClusterController::ForgetCommitDecision(uint64_t txn_id) {
   platform::Guard lock(mu_);
-  backup_.commit_decisions.erase(txn_id);
+  commit_decisions_.erase(txn_id);
 }
 
 void ClusterController::SimulateControllerFailover() {
@@ -820,7 +804,7 @@ void ClusterController::SimulateControllerFailover() {
     for (const auto& m : machines_) {
       if (!m->failed()) alive.push_back(m->id());
     }
-    decisions = backup_.commit_decisions;
+    decisions = commit_decisions_;
   }
   for (int id : alive) {
     auto prepared = client_->ListPrepared(id);

@@ -276,9 +276,10 @@ class Connection {
 // The fault-tolerant cluster controller of Sections 2–3: connection manager,
 // read-one-write-all replicator, 2PC coordinator, Algorithm-1 copy
 // coordinator, and (with sla::*) SLA-driven placement driver. Runs as a
-// process pair: controller state (replica map, copy states, commit
-// decisions) is mirrored synchronously to a hot-standby image, and
-// SimulateControllerFailover() exercises the backup's takeover path.
+// process pair: only the 2PC commit decisions are mirrored synchronously to
+// the hot standby — placement and copy state are durable records in the
+// tenant catalog — and SimulateControllerFailover() exercises the backup's
+// takeover path.
 //
 // All transaction work reaches machines exclusively through net::MachineClient
 // RPCs; the controller compiles against the RPC surface, not the engine.
@@ -354,21 +355,17 @@ class ClusterController {
   // the snapshot, or the new replica would silently miss it.
   void WaitForQuiescentWrites(const std::string& db_name,
                               const std::string& table);
-  // Promotes m' to a full replica and clears the copy state.
+  // Promotes m' to a full replica (with the tenant's quota; failed replicas
+  // leave the list) and clears the copy state.
   Status CompleteCopy(const std::string& db_name);
   Status AbandonCopy(const std::string& db_name);
 
   // --- Live migration (rebalance::TenantMigrator's cutover step) ---
   // Atomically replaces `source_machine` with `target_machine` in db_name's
   // replica list. Positional swap, so primary_offset keeps naming the same
-  // logical slot. The stored quota is pushed to the target — it joins with
-  // the tenant's admission limits already in force, closing the gap where
-  // placement changes outran RefreshQuotasFromLoad. No handle invalidation
-  // needed: handles are cached per (statement, machine), so a target that
-  // never ran the statement has no cached handle and mints one on first
-  // use, and an engine keeps every handle it minted for its whole life. A
-  // cached handle that outlived its engine answers kUnknownHandle and is
-  // dropped and re-minted.
+  // logical slot. Like CompleteCopy, the target joins with the tenant's
+  // quota already in force, and no handle is invalidated: a cached handle
+  // that outlived its engine answers kUnknownHandle and is re-minted.
   Status SwapReplica(const std::string& db_name, int source_machine,
                      int target_machine);
 
@@ -389,6 +386,9 @@ class ClusterController {
   // Per-site committed histories, for the serializability checker.
   std::vector<std::vector<CommittedTxnRecord>> CollectHistories() const;
   SerializabilityReport CheckClusterSerializability() const;
+  // Keys in the in-flight write accounting: two per (tenant, table) with a
+  // replicated write still running, none once writes finish. Test hook.
+  size_t InflightWriteKeyCount() const;
 
   // Live per-database load feedback: every finished connection transaction
   // is reported here, and EstimateFor/DemandFor expose measured
@@ -403,8 +403,10 @@ class ClusterController {
 
   // --- QoS / admission control ---
   // Records `spec` as db_name's admission quota and pushes it to every alive
-  // replica via kSetQuota. Newly promoted copy targets receive the quota in
-  // CompleteCopy, so the limit follows the database across machines.
+  // replica via kSetQuota. A machine that joins the replica set later — a
+  // copy target promoted by CompleteCopy or a migration target swapped in by
+  // SwapReplica — receives it as it joins, so the limit follows the
+  // database across machines.
   Status SetDatabaseQuota(const std::string& db_name,
                           const qos::QuotaSpec& spec);
   // Returns the stored quota (zero-valued spec when none configured).
@@ -427,16 +429,6 @@ class ClusterController {
 
  private:
   friend class Connection;
-
-  // Hot-standby mirror of controller state (the process pair's backup).
-  // The replica map mirrors the catalog's durable records; per-tenant cost
-  // is one vector<int>, so it scales with tenant count like the catalog
-  // itself. mtdblint: allow(tenant-map) mirrored durable placement state,
-  // bounded by tenant count (erased in DropDatabase).
-  struct BackupImage {
-    std::map<std::string, std::vector<int>> replica_map;
-    std::set<uint64_t> commit_decisions;
-  };
 
   // Copy of the routing-relevant slice of a tenant's record, taken under
   // the catalog shard lock so the controller never nests the shard lock
@@ -464,6 +456,12 @@ class ClusterController {
                                         const std::string& table);
   // Option-1 primary (first alive replica); Option 2/3 round-robin pick.
   Result<int> PickReadMachine(const std::string& db_name, int sticky);
+  // The derived bookkeeping of every replica-set change (create, drop,
+  // promotion, swap): moves machine_replica_load_ by the delta between the
+  // lists and pushes the tenant's quota to each machine that joined.
+  void ReplicaSetChanged(const std::string& db_name,
+                         const std::vector<int>& before,
+                         const std::vector<int>& after);
   void LogCommitDecision(uint64_t txn_id);
   void ForgetCommitDecision(uint64_t txn_id);
   // Returns the machine-local handle for `stmt` on machine_id, minting it
@@ -497,7 +495,9 @@ class ClusterController {
   // assignment (bounded by the number of distinct replica sets, not by
   // tenant count).
   std::map<std::vector<int>, uint64_t> replica_set_rr_ MTDB_GUARDED_BY(mu_);
-  BackupImage backup_ MTDB_GUARDED_BY(mu_);
+  // The hot standby's mirror (the process pair's backup): the 2PC commit
+  // decisions SimulateControllerFailover resolves in-doubt transactions by.
+  std::set<uint64_t> commit_decisions_ MTDB_GUARDED_BY(mu_);
 
   std::atomic<uint64_t> next_txn_id_{1};
   std::atomic<uint64_t> epoch_{1};

@@ -1,28 +1,21 @@
 #include "src/cluster/rebalance/tenant_migrator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster_controller.h"
 #include "src/cluster/machine.h"
+#include "src/cluster/recovery.h"
 #include "src/common/clock.h"
 #include "src/net/machine_client.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/storage/wal/wal.h"
 
 namespace mtdb::rebalance {
 
 namespace {
-
-// Dump transactions need ids no client or recovery dump will ever mint:
-// recovery uses 1<<48 + seq, so migrations take the next disjoint block.
-constexpr uint64_t kMigrateDumpTxnBase = (1ull << 48) + (1ull << 47);
-std::atomic<uint64_t> migrate_dump_seq{0};
 
 struct Metrics {
   obs::Counter* started;
@@ -52,17 +45,6 @@ Metrics& GlobalMetrics() {
     return m;
   }();
   return metrics;
-}
-
-int64_t DumpBytes(const TableDump& dump) {
-  int64_t bytes = 0;
-  for (const auto& [row, version] : dump.rows) {
-    (void)version;
-    for (const Value& value : row) {
-      bytes += static_cast<int64_t>(WriteAheadLog::EncodeValue(value).size());
-    }
-  }
-  return bytes;
 }
 
 void RecordPhaseSpan(uint64_t trace_id, int machine_id,
@@ -139,39 +121,85 @@ Status TenantMigrator::Migrate(const MigrationPlan& plan) {
   }
 
   // Capability probe: can the source serve WAL deltas? UINT64_MAX returns
-  // the current frontier without shipping lines. A WAL-less source answers
-  // kFailedPrecondition and the migration falls back to the frozen copy.
-  uint64_t frontier = 0;
-  auto probe = controller_->machine_client()->WalDeltaRead(
-      plan.source_machine, plan.database, UINT64_MAX, &frontier);
-  if (probe.ok()) {
-    // The pre-dump frontier: everything committed before it is covered by
-    // the dump too, and replaying the overlap is idempotent (upserts), so
-    // starting the delta from here can lose nothing.
-    return MigrateLive(plan, frontier);
-  }
-  if (probe.status().code() == StatusCode::kFailedPrecondition) {
-    return MigrateFrozen(plan);
-  }
-  return Abort(plan, probe.status());
-}
-
-Status TenantMigrator::CopyTables(const MigrationPlan& plan) {
+  // the current frontier without shipping lines. That pre-dump frontier is
+  // where the delta starts: everything committed before it is covered by
+  // the dump too, and replaying the overlap is idempotent (upserts), so
+  // nothing is lost. A WAL-less source answers kFailedPrecondition: with
+  // no delta to tail, the tenant is frozen before the copy instead of
+  // after it, and the delta rounds are skipped — same sequence, longer
+  // pause.
   net::MachineClient* client = controller_->machine_client();
-  Status created = client->CreateDatabase(plan.target_machine, plan.database);
-  if (!created.ok()) return created;
-  auto tables = client->ListTables(plan.source_machine, plan.database);
-  if (!tables.ok()) return tables.status();
-  for (const std::string& table : *tables) {
-    uint64_t dump_txn =
-        kMigrateDumpTxnBase + migrate_dump_seq.fetch_add(1);
-    auto dump = client->DumpTable(plan.source_machine, plan.database, table,
-                                  dump_txn, options_.per_row_delay_us);
-    if (!dump.ok()) return dump.status();
-    obs::Increment(GlobalMetrics().bytes_copied, DumpBytes(*dump));
-    Status applied = client->ApplyDump(plan.target_machine, plan.database,
-                                       *dump);
-    if (!applied.ok()) return applied;
+  uint64_t wal_cursor = 0;
+  auto probe = client->WalDeltaRead(plan.source_machine, plan.database,
+                                    UINT64_MAX, &wal_cursor);
+  bool frozen = !probe.ok();
+  if (frozen && probe.status().code() != StatusCode::kFailedPrecondition) {
+    return Abort(plan, probe.status());
+  }
+  uint64_t trace_id = obs::TraceCollector::Global().StartTrace(0);
+  int64_t phase_start_us = NowMicros();
+  int64_t cutover_start_us = phase_start_us;
+  if (frozen) {
+    Status drained = FreezeAndDrain(plan.database);
+    if (!drained.ok()) return Abort(plan, drained, trace_id);
+  }
+  // Bulk copy. A live source serves reads AND writes throughout.
+  auto copied = CopyReplica(controller_, plan.database, plan.source_machine,
+                            plan.target_machine, CopyGranularity::kTable,
+                            /*algorithm1=*/false, options_.per_row_delay_us);
+  if (!copied.ok()) return Abort(plan, copied.status(), trace_id);
+  obs::Increment(GlobalMetrics().bytes_copied, *copied);
+
+  if (!frozen) {
+    RecordPhaseSpan(trace_id, plan.source_machine, "bulk_copy",
+                    phase_start_us);
+    // Delta catch-up: ship the committed suffix until a round comes back
+    // small. The source serves normally the whole time.
+    Status advanced = controller_->tenant_catalog()->With(
+        plan.database, [&](catalog::TenantRecord& record) {
+          record.migration.phase = MigrationPhase::kDeltaCatchup;
+          record.migration.wal_cursor = wal_cursor;
+        });
+    if (!advanced.ok()) return Abort(plan, advanced, trace_id);
+    phase_start_us = NowMicros();
+    for (int round = 0; round < options_.delta_max_rounds; ++round) {
+      auto shipped = ShipDelta(plan, &wal_cursor);
+      if (!shipped.ok()) return Abort(plan, shipped.status(), trace_id);
+      obs::Increment(GlobalMetrics().delta_rounds);
+      Status cursored = controller_->tenant_catalog()->With(
+          plan.database, [&](catalog::TenantRecord& record) {
+            record.migration.wal_cursor = wal_cursor;
+          });
+      if (!cursored.ok()) return Abort(plan, cursored, trace_id);
+      if (*shipped <= options_.delta_settle_lines) break;
+    }
+    RecordPhaseSpan(trace_id, plan.source_machine, "delta_catchup",
+                    phase_start_us);
+    // Cutover: the only client-visible window. Begins back off, in-flight
+    // transactions drain, the final delta ships, the replica list swaps.
+    cutover_start_us = NowMicros();
+    Status drained = FreezeAndDrain(plan.database);
+    if (!drained.ok()) return Abort(plan, drained, trace_id);
+    auto shipped = ShipDelta(plan, &wal_cursor);
+    if (!shipped.ok()) return Abort(plan, shipped.status(), trace_id);
+  }
+
+  Status swapped = controller_->SwapReplica(plan.database, plan.source_machine,
+                                            plan.target_machine);
+  if (!swapped.ok()) return Abort(plan, swapped, trace_id);
+  ClearMigrationState(plan.database);
+  obs::Observe(GlobalMetrics().cutover_pause_us,
+               NowMicros() - cutover_start_us);
+  RecordPhaseSpan(trace_id, plan.target_machine,
+                  frozen ? "frozen_copy" : "cutover", cutover_start_us);
+  obs::TraceCollector::Global().FinishTrace(trace_id, /*committed=*/true);
+  obs::Increment(GlobalMetrics().completed);
+
+  // Cleanup is best-effort: the swap already happened, the source copy is
+  // just garbage now.
+  (void)client->DropDatabase(plan.source_machine, plan.database);
+  if (Machine* source = controller_->machine(plan.source_machine)) {
+    source->EvictTenant(plan.database);
   }
   return Status::OK();
 }
@@ -199,110 +227,25 @@ Status TenantMigrator::FreezeAndDrain(const std::string& database) {
   return Status::OK();
 }
 
-Status TenantMigrator::MigrateLive(const MigrationPlan& plan,
-                                   uint64_t wal_cursor) {
+Result<size_t> TenantMigrator::ShipDelta(const MigrationPlan& plan,
+                                         uint64_t* wal_cursor) {
   net::MachineClient* client = controller_->machine_client();
-  uint64_t trace_id = obs::TraceCollector::Global().StartTrace(0);
-  int64_t phase_start_us = NowMicros();
-
-  Status copied = CopyTables(plan);
-  if (!copied.ok()) return Abort(plan, copied, trace_id);
-  RecordPhaseSpan(trace_id, plan.source_machine, "bulk_copy", phase_start_us);
-
-  // Delta catch-up: ship the committed suffix until a round comes back
-  // small. The source serves normally the whole time.
-  Status advanced = controller_->tenant_catalog()->With(
-      plan.database, [&](catalog::TenantRecord& record) {
-        record.migration.phase = MigrationPhase::kDeltaCatchup;
-        record.migration.wal_cursor = wal_cursor;
-      });
-  if (!advanced.ok()) return Abort(plan, advanced, trace_id);
-  phase_start_us = NowMicros();
-  for (int round = 0; round < options_.delta_max_rounds; ++round) {
-    uint64_t frontier = 0;
-    auto lines = client->WalDeltaRead(plan.source_machine, plan.database,
-                                      wal_cursor, &frontier);
-    if (!lines.ok()) return Abort(plan, lines.status(), trace_id);
-    obs::Increment(GlobalMetrics().delta_rounds);
-    if (!lines->empty()) {
-      int64_t bytes = 0;
-      for (const std::string& line : *lines) {
-        bytes += static_cast<int64_t>(line.size());
-      }
-      obs::Increment(GlobalMetrics().bytes_copied, bytes);
-      Status applied = client->WalDeltaApply(plan.target_machine,
-                                             plan.database, *lines);
-      if (!applied.ok()) return Abort(plan, applied, trace_id);
-    }
-    wal_cursor = frontier;
-    Status cursored = controller_->tenant_catalog()->With(
-        plan.database, [&](catalog::TenantRecord& record) {
-          record.migration.wal_cursor = wal_cursor;
-        });
-    if (!cursored.ok()) return Abort(plan, cursored, trace_id);
-    if (lines->size() <= options_.delta_settle_lines) break;
-  }
-  RecordPhaseSpan(trace_id, plan.source_machine, "delta_catchup",
-                  phase_start_us);
-
-  // Cutover: the only client-visible window. Begins back off, in-flight
-  // transactions drain, the final delta ships, the replica list swaps.
-  int64_t cutover_start_us = NowMicros();
-  Status drained = FreezeAndDrain(plan.database);
-  if (!drained.ok()) return Abort(plan, drained, trace_id);
   uint64_t frontier = 0;
-  auto final_lines = client->WalDeltaRead(plan.source_machine, plan.database,
-                                          wal_cursor, &frontier);
-  if (!final_lines.ok()) return Abort(plan, final_lines.status(), trace_id);
-  if (!final_lines->empty()) {
-    Status applied = client->WalDeltaApply(plan.target_machine, plan.database,
-                                           *final_lines);
-    if (!applied.ok()) return Abort(plan, applied, trace_id);
+  MTDB_ASSIGN_OR_RETURN(
+      std::vector<std::string> lines,
+      client->WalDeltaRead(plan.source_machine, plan.database, *wal_cursor,
+                           &frontier));
+  if (!lines.empty()) {
+    int64_t bytes = 0;
+    for (const std::string& line : lines) {
+      bytes += static_cast<int64_t>(line.size());
+    }
+    obs::Increment(GlobalMetrics().bytes_copied, bytes);
+    MTDB_RETURN_IF_ERROR(
+        client->WalDeltaApply(plan.target_machine, plan.database, lines));
   }
-  Status swapped = controller_->SwapReplica(plan.database, plan.source_machine,
-                                            plan.target_machine);
-  if (!swapped.ok()) return Abort(plan, swapped, trace_id);
-  ClearMigrationState(plan.database);
-  obs::Observe(GlobalMetrics().cutover_pause_us,
-               NowMicros() - cutover_start_us);
-  RecordPhaseSpan(trace_id, plan.target_machine, "cutover", cutover_start_us);
-  obs::TraceCollector::Global().FinishTrace(trace_id, /*committed=*/true);
-  obs::Increment(GlobalMetrics().completed);
-
-  // Cleanup is best-effort: the swap already happened, the source copy is
-  // just garbage now.
-  (void)client->DropDatabase(plan.source_machine, plan.database);
-  if (Machine* source = controller_->machine(plan.source_machine)) {
-    source->EvictTenant(plan.database);
-  }
-  return Status::OK();
-}
-
-Status TenantMigrator::MigrateFrozen(const MigrationPlan& plan) {
-  // No WAL on the source, so there is no delta to tail: freeze FIRST, then
-  // copy a quiescent tenant. Same protocol, longer pause.
-  net::MachineClient* client = controller_->machine_client();
-  uint64_t trace_id = obs::TraceCollector::Global().StartTrace(0);
-  int64_t cutover_start_us = NowMicros();
-  Status drained = FreezeAndDrain(plan.database);
-  if (!drained.ok()) return Abort(plan, drained, trace_id);
-  Status copied = CopyTables(plan);
-  if (!copied.ok()) return Abort(plan, copied, trace_id);
-  Status swapped = controller_->SwapReplica(plan.database, plan.source_machine,
-                                            plan.target_machine);
-  if (!swapped.ok()) return Abort(plan, swapped, trace_id);
-  ClearMigrationState(plan.database);
-  obs::Observe(GlobalMetrics().cutover_pause_us,
-               NowMicros() - cutover_start_us);
-  RecordPhaseSpan(trace_id, plan.target_machine, "frozen_copy",
-                  cutover_start_us);
-  obs::TraceCollector::Global().FinishTrace(trace_id, /*committed=*/true);
-  obs::Increment(GlobalMetrics().completed);
-  (void)client->DropDatabase(plan.source_machine, plan.database);
-  if (Machine* source = controller_->machine(plan.source_machine)) {
-    source->EvictTenant(plan.database);
-  }
-  return Status::OK();
+  *wal_cursor = frontier;
+  return lines.size();
 }
 
 void TenantMigrator::ClearMigrationState(const std::string& database) {

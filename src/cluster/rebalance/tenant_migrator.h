@@ -5,7 +5,8 @@
 //
 // Executes one MigrationPlan: move a tenant's replica from its source
 // machine to a target machine while the tenant keeps serving. The protocol
-// is the recovery copy pipeline plus a WAL-delta tail:
+// is recovery's copy step (CopyReplica, table granularity, no Algorithm-1
+// window) plus a WAL-delta tail:
 //
 //   1. kBulkCopy      dump every table on the source (S-lock snapshot, so
 //                     only committed data) and install it on the target.
@@ -19,8 +20,9 @@
 //                     the final delta, swap the replica list, unfreeze.
 //   4. cleanup        drop + evict the tenant on the source.
 //
-// Sources without a WAL (default in-proc machines) fall back to a frozen
-// copy: freeze first, then dump — correct, just a longer pause.
+// A source without a WAL (default in-proc machines) has no delta to tail:
+// the same sequence freezes before step 1 and skips step 2 — correct, just
+// a longer pause.
 //
 // Abort from any phase restores kIdle with the placement unchanged and the
 // target's partial copy dropped; the tenant never notices.
@@ -29,6 +31,7 @@
 #include <string>
 
 #include "src/cluster/rebalance/planner.h"
+#include "src/common/result.h"
 #include "src/common/status.h"
 
 namespace mtdb {
@@ -67,11 +70,9 @@ class TenantMigrator {
   Status Migrate(const MigrationPlan& plan);
 
  private:
-  Status MigrateLive(const MigrationPlan& plan, uint64_t wal_cursor);
-  Status MigrateFrozen(const MigrationPlan& plan);
-  // Bulk copy: create the database on the target and install a dump of
-  // every table. Shared by both modes.
-  Status CopyTables(const MigrationPlan& plan);
+  // Ships the committed WAL suffix after *wal_cursor to the target and
+  // advances the cursor to the source's frontier. Returns the lines shipped.
+  Result<size_t> ShipDelta(const MigrationPlan& plan, uint64_t* wal_cursor);
   // Cutover entry: freeze begins, drain pins, quiesce routed writes.
   Status FreezeAndDrain(const std::string& database);
   // Restores kIdle (abort or completion) — the only two writers of

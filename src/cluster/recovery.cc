@@ -8,13 +8,77 @@
 #include "src/net/machine_client.h"
 #include "src/obs/metrics.h"
 #include "src/platform/mutex.h"
+#include "src/storage/wal/wal.h"
 
 namespace mtdb {
 
 namespace {
-// Dump transactions get ids far away from client transaction ids.
+
+// Dump transactions get ids far away from client transaction ids; every
+// copy, recovery or migration, draws from this one sequence.
 constexpr uint64_t kDumpTxnBase = 1ull << 48;
+std::atomic<uint64_t> dump_txn_seq{0};
+
+int64_t DumpBytes(const TableDump& dump) {
+  int64_t bytes = 0;
+  for (const auto& [row, version] : dump.rows) {
+    (void)version;
+    for (const Value& value : row) {
+      bytes += static_cast<int64_t>(WriteAheadLog::EncodeValue(value).size());
+    }
+  }
+  return bytes;
+}
+
 }  // namespace
+
+Result<int64_t> CopyReplica(ClusterController* controller,
+                            const std::string& db_name, int source, int target,
+                            CopyGranularity granularity, bool algorithm1,
+                            int64_t per_row_delay_us) {
+  net::MachineClient* client = controller->machine_client();
+  // Algorithm 1: writes to `window` are rejected from here until its tables
+  // are marked copied. Writes routed before the window opened must reach
+  // the engines before the dump's snapshot, or the copy would miss them.
+  auto open_window = [&](const std::string& window) -> Status {
+    if (!algorithm1) return Status::OK();
+    MTDB_RETURN_IF_ERROR(controller->SetCopyInProgress(db_name, window));
+    controller->WaitForQuiescentWrites(db_name, window);
+    return Status::OK();
+  };
+  MTDB_RETURN_IF_ERROR(client->CreateDatabase(target, db_name));
+  std::vector<std::string> tables;
+  std::vector<TableDump> whole;  // kDatabase: every table under one S lock
+  if (granularity == CopyGranularity::kDatabase) {
+    MTDB_RETURN_IF_ERROR(open_window("*"));
+    MTDB_ASSIGN_OR_RETURN(
+        whole, client->DumpDatabase(source, db_name,
+                                    kDumpTxnBase + dump_txn_seq.fetch_add(1),
+                                    per_row_delay_us));
+    for (const TableDump& dump : whole) tables.push_back(dump.schema.name());
+  } else {
+    MTDB_ASSIGN_OR_RETURN(tables, client->ListTables(source, db_name));
+  }
+  int64_t bytes = 0;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    TableDump dump;
+    if (granularity == CopyGranularity::kDatabase) {
+      dump = std::move(whole[i]);
+    } else {
+      MTDB_RETURN_IF_ERROR(open_window(tables[i]));
+      MTDB_ASSIGN_OR_RETURN(
+          dump, client->DumpTable(source, db_name, tables[i],
+                                  kDumpTxnBase + dump_txn_seq.fetch_add(1),
+                                  per_row_delay_us));
+    }
+    bytes += DumpBytes(dump);
+    MTDB_RETURN_IF_ERROR(client->ApplyDump(target, db_name, dump));
+    if (algorithm1) {
+      MTDB_RETURN_IF_ERROR(controller->MarkTableCopied(db_name, tables[i]));
+    }
+  }
+  return bytes;
+}
 
 Result<int> RecoveryManager::ChooseTarget(const std::string& db_name) {
   std::vector<int> replicas = controller_->ReplicasOf(db_name);
@@ -56,116 +120,25 @@ RecoveryResult RecoveryManager::RecoverDatabase(const std::string& db_name,
   }
   result.source_machine = source;
 
-  result.status = options_.granularity == CopyGranularity::kTable
-                      ? CopyTableGranularity(db_name, source, target_machine)
-                            .status
-                      : CopyDatabaseGranularity(db_name, source,
-                                                target_machine)
-                            .status;
+  Status status = controller_->BeginCopy(db_name, target_machine);
+  if (status.ok()) {
+    active_copies_.fetch_add(1);
+    status = CopyReplica(controller_, db_name, source, target_machine,
+                         options_.granularity, /*algorithm1=*/true,
+                         EffectivePerRowDelay())
+                 .status();
+    active_copies_.fetch_sub(1);
+    if (status.ok()) {
+      status = controller_->CompleteCopy(db_name);
+    } else {
+      (void)controller_->AbandonCopy(db_name);
+    }
+  }
+  result.status = status;
   result.duration_us = watch.ElapsedMicros();
   obs::Observe(obs::MetricsRegistry::Global().GetHistogram(
                    "mtdb_recovery_copy_us", {.database = db_name}),
                result.duration_us);
-  return result;
-}
-
-RecoveryResult RecoveryManager::CopyTableGranularity(const std::string& db_name,
-                                                     int source_machine,
-                                                     int target_machine) {
-  RecoveryResult result;
-  result.database = db_name;
-  result.source_machine = source_machine;
-  result.target_machine = target_machine;
-
-  // The copy tool is a cluster-controller client like any other: it reaches
-  // both source and target exclusively through machine RPCs (the paper's
-  // "off-the-shelf copy tool" run against the DBMS interface).
-  net::MachineClient* client = controller_->machine_client();
-
-  Status status = controller_->BeginCopy(db_name, target_machine);
-  if (!status.ok()) {
-    result.status = status;
-    return result;
-  }
-  auto tables_or = client->ListTables(source_machine, db_name);
-  if (!tables_or.ok()) {
-    (void)controller_->AbandonCopy(db_name);
-    result.status = tables_or.status();
-    return result;
-  }
-  active_copies_.fetch_add(1);
-  int64_t per_row_delay_us = EffectivePerRowDelay();
-  for (const std::string& table : *tables_or) {
-    // Algorithm 1: writes to `table` are rejected from this point until the
-    // table is installed on the target and marked copied.
-    status = controller_->SetCopyInProgress(db_name, table);
-    if (!status.ok()) break;
-    // Writes routed before the copy window opened must reach the engines
-    // before the snapshot; otherwise the new replica would miss them.
-    controller_->WaitForQuiescentWrites(db_name, table);
-    auto dump = client->DumpTable(source_machine, db_name, table,
-                                  kDumpTxnBase + dump_txn_seq_.fetch_add(1),
-                                  per_row_delay_us);
-    if (!dump.ok()) {
-      status = dump.status();
-      break;
-    }
-    // ApplyDump creates the database on the target on first use.
-    status = client->ApplyDump(target_machine, db_name, *dump);
-    if (!status.ok()) break;
-    status = controller_->MarkTableCopied(db_name, table);
-    if (!status.ok()) break;
-  }
-  active_copies_.fetch_sub(1);
-  if (status.ok()) {
-    status = controller_->CompleteCopy(db_name);
-  } else {
-    (void)controller_->AbandonCopy(db_name);
-  }
-  result.status = status;
-  return result;
-}
-
-RecoveryResult RecoveryManager::CopyDatabaseGranularity(
-    const std::string& db_name, int source_machine, int target_machine) {
-  RecoveryResult result;
-  result.database = db_name;
-  result.source_machine = source_machine;
-  result.target_machine = target_machine;
-
-  net::MachineClient* client = controller_->machine_client();
-
-  Status status = controller_->BeginCopy(db_name, target_machine);
-  if (!status.ok()) {
-    result.status = status;
-    return result;
-  }
-  // Database-granularity copying: every write to the database is rejected
-  // for the duration of the copy.
-  status = controller_->SetCopyInProgress(db_name, "*");
-  if (status.ok()) controller_->WaitForQuiescentWrites(db_name, "*");
-  active_copies_.fetch_add(1);
-  if (status.ok()) {
-    auto dump = client->DumpDatabase(source_machine, db_name,
-                                     kDumpTxnBase + dump_txn_seq_.fetch_add(1),
-                                     EffectivePerRowDelay());
-    status = dump.status();
-    if (status.ok()) {
-      for (const TableDump& table : *dump) {
-        status = client->ApplyDump(target_machine, db_name, table);
-        if (!status.ok()) break;
-        status = controller_->MarkTableCopied(db_name, table.schema.name());
-        if (!status.ok()) break;
-      }
-    }
-  }
-  active_copies_.fetch_sub(1);
-  if (status.ok()) {
-    status = controller_->CompleteCopy(db_name);
-  } else {
-    (void)controller_->AbandonCopy(db_name);
-  }
-  result.status = status;
   return result;
 }
 

@@ -16,6 +16,20 @@ namespace mtdb {
 // and rejects all writes to the database.
 enum class CopyGranularity { kTable, kDatabase };
 
+// The one replica copy behind recovery (Section 3.2) and live migration
+// (DESIGN.md §16): the off-the-shelf copy tool, run over machine RPCs.
+// Creates db_name on `target`, then dumps each table on `source` and applies
+// it on `target`. The source holds one S lock per table (kTable) or one
+// over every table for the whole dump (kDatabase). With `algorithm1` the
+// copy runs inside the target's active BeginCopy: writes to the window —
+// the table being dumped, or "*" for the whole kDatabase copy — are
+// rejected, writes routed before it opened are waited out, and each applied
+// table is marked copied. Returns the bytes of the applied dumps.
+Result<int64_t> CopyReplica(ClusterController* controller,
+                            const std::string& db_name, int source, int target,
+                            CopyGranularity granularity, bool algorithm1,
+                            int64_t per_row_delay_us);
+
 struct RecoveryOptions {
   // Number of concurrent database copy processes ("recovery threads",
   // Figure 8's x-axis).
@@ -58,11 +72,6 @@ class RecoveryManager {
   // Chooses a target machine for a new replica of db (First-Fit: lowest id
   // alive machine not already hosting it).
   Result<int> ChooseTarget(const std::string& db_name);
-  RecoveryResult CopyTableGranularity(const std::string& db_name,
-                                      int source_machine, int target_machine);
-  RecoveryResult CopyDatabaseGranularity(const std::string& db_name,
-                                         int source_machine,
-                                         int target_machine);
 
   // Concurrent copies share disk/network bandwidth: the effective per-row
   // delay scales with the number of copies in flight when a copy starts.
@@ -73,7 +82,6 @@ class RecoveryManager {
 
   ClusterController* controller_;
   RecoveryOptions options_;
-  std::atomic<uint64_t> dump_txn_seq_{1};
   std::atomic<int> active_copies_{0};
 };
 

@@ -134,6 +134,11 @@ Status Engine::DropDatabase(const std::string& db_name) {
   if (databases_.erase(db_name) == 0) {
     return Status::NotFound("database " + db_name);
   }
+  // Version chains are authoritative for snapshot reads: left behind, they
+  // would shadow the live rows of a re-created database (or table, below).
+  if (versions_.Drop(db_name) > 0) {
+    SetGauge(m_mvcc_versions_, versions_.live_versions());
+  }
   BumpSchemaVersion(db_name);
   return Status::OK();
 }
@@ -194,6 +199,9 @@ Status Engine::DropTable(const std::string& db_name,
   Database* db = GetDatabase(db_name);
   if (db == nullptr) return Status::NotFound("database " + db_name);
   MTDB_RETURN_IF_ERROR(db->DropTable(table_name));
+  if (versions_.Drop(db_name, table_name) > 0) {
+    SetGauge(m_mvcc_versions_, versions_.live_versions());
+  }
   BumpSchemaVersion(db_name);
   return Status::OK();
 }

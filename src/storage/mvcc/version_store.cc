@@ -97,4 +97,20 @@ size_t VersionStore::PruneBelow(uint64_t watermark) {
   return pruned;
 }
 
+size_t VersionStore::Drop(const std::string& db_name,
+                          const std::string& table_name) {
+  size_t dropped = 0;
+  platform::WriterGuard lock(latch_);
+  // Keys sort by (database, table), and no table name is empty, so the
+  // chains to drop form one contiguous run.
+  auto it = tables_.lower_bound({db_name, table_name});
+  while (it != tables_.end() && it->first.first == db_name &&
+         (table_name.empty() || it->first.second == table_name)) {
+    for (const auto& [pk, chain] : it->second) dropped += chain.size();
+    it = tables_.erase(it);
+  }
+  live_.fetch_sub(static_cast<int64_t>(dropped), std::memory_order_relaxed);
+  return dropped;
+}
+
 }  // namespace mtdb::mvcc

@@ -77,6 +77,12 @@ class VersionStore {
   // Returns the number of versions pruned.
   size_t PruneBelow(uint64_t watermark);
 
+  // Forgets every chain of table_name in db_name (of all its tables when
+  // table_name is empty): the engine's drop paths call it, so a re-created
+  // database or table never serves a dropped one's images to snapshot
+  // readers. Returns the number of versions dropped.
+  size_t Drop(const std::string& db_name, const std::string& table_name = "");
+
   // Total versions currently held across all chains.
   int64_t live_versions() const {
     return live_.load(std::memory_order_relaxed);

@@ -135,6 +135,24 @@ TEST_F(ClusterTest, ReplicasStayIdenticalAfterMixedWorkload) {
   EXPECT_EQ(a->ContentFingerprint(), b->ContentFingerprint());
 }
 
+TEST_F(ClusterTest, FinishedWritesLeaveNoInflightEntries) {
+  Build({});
+  for (int d = 0; d < 4; ++d) {
+    std::string name = "bank" + std::to_string(d);
+    SetUpAccountsDb(name);
+    auto conn = controller_->Connect(name);
+    ASSERT_TRUE(
+        conn->Execute("UPDATE accounts SET balance = 1 WHERE id = 1").ok());
+    ASSERT_TRUE(conn->Begin().ok());
+    ASSERT_TRUE(
+        conn->Execute("UPDATE accounts SET balance = 2 WHERE id = 2").ok());
+    ASSERT_TRUE(conn->Commit().ok());
+  }
+  // Conservative acks: every replica RPC has finished, so no write is in
+  // flight and no tenant may keep an accounting entry.
+  EXPECT_EQ(controller_->InflightWriteKeyCount(), 0u);
+}
+
 TEST_F(ClusterTest, ExplicitTransactionRollback) {
   Build({});
   SetUpAccountsDb();

@@ -299,6 +299,39 @@ TEST_F(MvccEngineTest, GcPrunesSupersededVersions) {
   ASSERT_TRUE(engine_->Commit(txn).ok());
 }
 
+TEST_F(MvccEngineTest, DropForgetsVersionChains) {
+  // A transactional write gives k=1 a version chain; a snapshot reader of
+  // a re-created database (and then of a re-created table) must read the
+  // new live row, not the chain the dropped one left behind.
+  TableSchema schema("kv",
+                     {{"k", ColumnType::kInt64, true},
+                      {"v", ColumnType::kInt64, false}},
+                     0);
+  uint64_t txn = 1;
+  auto write_then_recreate = [&](bool whole_database, int64_t fresh) {
+    ASSERT_TRUE(engine_->Begin(txn).ok());
+    ASSERT_TRUE(engine_
+                    ->Update(txn, "db", "kv", Value(int64_t{1}),
+                             MakeRow(1, 99))
+                    .ok());
+    ASSERT_TRUE(engine_->Commit(txn++).ok());
+    if (whole_database) {
+      ASSERT_TRUE(engine_->DropDatabase("db").ok());
+      ASSERT_TRUE(engine_->CreateDatabase("db").ok());
+    } else {
+      ASSERT_TRUE(engine_->DropTable("db", "kv").ok());
+    }
+    ASSERT_TRUE(engine_->CreateTable("db", schema).ok());
+    ASSERT_TRUE(engine_->BulkInsert("db", "kv", {MakeRow(1, fresh)}).ok());
+    EXPECT_EQ(engine_->version_store().live_versions(), 0);
+    ASSERT_TRUE(engine_->Begin(txn, /*read_only=*/true).ok());
+    EXPECT_EQ(ReadV(txn, 1), fresh);
+    ASSERT_TRUE(engine_->Commit(txn++).ok());
+  };
+  write_then_recreate(/*whole_database=*/true, 7);
+  write_then_recreate(/*whole_database=*/false, 8);
+}
+
 TEST_F(MvccEngineTest, HistoryMarksReadOnlyTransactions) {
   ASSERT_TRUE(engine_->Begin(1, /*read_only=*/true).ok());
   EXPECT_EQ(ReadV(1, 1), 10);

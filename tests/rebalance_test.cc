@@ -8,7 +8,7 @@
 // LoadMonitor idle-decay regression, and hysteresis/cooldown on Tick().
 //
 // This tier carries the "sanitizer;rebalance" labels (tests/CMakeLists.txt)
-// so the TSan CI job runs exactly this file with `ctest -L rebalance`.
+// so the TSan CI job runs it, with recovery_test, under `ctest -L rebalance`.
 
 #include <gtest/gtest.h>
 
@@ -469,6 +469,77 @@ TEST_F(RebalanceTest, MigrateRefusesNonsensePlans) {
                    .Migrate(MakePlan("ghost", 0, 1))
                    .ok());
   EXPECT_EQ(controller_->ReplicasOf("db"), std::vector<int>{0});
+}
+
+TEST_F(RebalanceTest, RoundTripMigrationKeepsSnapshotReadsCurrent) {
+  // Machine 0 hosts the tenant, hands it to machine 1 and gets it back. Its
+  // first tenure left MVCC version chains behind; snapshot reads after the
+  // return must see every acknowledged commit, not those stale chains.
+  BuildWal("round", 2);
+  constexpr int64_t kRows = 16;
+  SetUpCounters("hot", /*machine=*/0, kRows);
+
+  std::atomic<bool> stop{false};
+  std::array<std::atomic<int64_t>, kRows> commits{};
+  std::thread writer([&] {
+    auto conn = controller_->Connect("hot");
+    int64_t iteration = 0;
+    while (!stop.load()) {
+      int64_t id = iteration++ % kRows;
+      if (conn->Execute("UPDATE counters SET v = v + 1 WHERE id = " +
+                        std::to_string(id))
+              .ok()) {
+        commits[id].fetch_add(1);
+      }
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+  rebalance::MigratorOptions migrator_options;
+  migrator_options.per_row_delay_us = 200;
+  rebalance::TenantMigrator migrator(controller_.get(), migrator_options);
+  Status there = migrator.Migrate(MakePlan("hot", 0, 1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  Status back = migrator.Migrate(MakePlan("hot", 1, 0));
+  stop.store(true);
+  writer.join();
+  ASSERT_TRUE(there.ok()) << there.ToString();
+  ASSERT_TRUE(back.ok()) << back.ToString();
+  ASSERT_EQ(controller_->ReplicasOf("hot"), std::vector<int>{0});
+
+  auto reader = controller_->Connect("hot");
+  ASSERT_TRUE(reader->Begin(/*read_only=*/true).ok());
+  int64_t total = 0;
+  for (int64_t id = 0; id < kRows; ++id) {
+    auto read = reader->Execute("SELECT v FROM counters WHERE id = " +
+                                std::to_string(id));
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read->at(0, 0).AsInt(), commits[id].load()) << "row " << id;
+    total += commits[id].load();
+  }
+  ASSERT_TRUE(reader->Commit().ok());
+  EXPECT_GT(total, 0);
+}
+
+TEST_F(RebalanceTest, SwappedInReplicaCarriesQuotaAndPlacementLoad) {
+  BuildPlain(3);
+  SetUpCounters("a", /*machine=*/0, 4);
+  qos::QuotaSpec spec;
+  spec.rate_tps = 321;
+  spec.burst = 5;
+  spec.weight = 3;
+  ASSERT_TRUE(controller_->SetDatabaseQuota("a", spec).ok());
+  rebalance::TenantMigrator migrator(controller_.get());
+  ASSERT_TRUE(migrator.Migrate(MakePlan("a", 0, 1)).ok());
+  // The quota followed the tenant onto its new machine.
+  qos::QuotaSpec installed = controller_->machine(1)->GetQuota("a");
+  EXPECT_DOUBLE_EQ(installed.rate_tps, 321);
+  EXPECT_DOUBLE_EQ(installed.burst, 5);
+  EXPECT_EQ(installed.weight, 3);
+  // Machine 1 now hosts the only replica, so a new two-replica database
+  // goes to the empty machines 0 and 2.
+  ASSERT_TRUE(controller_->CreateDatabase("b", 2).ok());
+  EXPECT_EQ(controller_->ReplicasOf("b"), (std::vector<int>{0, 2}));
 }
 
 // --- Control loop -----------------------------------------------------

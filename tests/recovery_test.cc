@@ -176,5 +176,59 @@ TEST_F(RecoveryTest, RecoveredReplicaServesReads) {
   EXPECT_EQ(read->at(0, 0).AsInt(), 100);  // 0+10+20+30+40
 }
 
+TEST_F(RecoveryTest, RecoveredEmptyDatabaseAcceptsDdl) {
+  // A database with no tables yet: the copy has nothing to dump, but the
+  // promoted replica must still host the database, or the next DDL fails
+  // there while succeeding on the old replicas.
+  for (CopyGranularity granularity :
+       {CopyGranularity::kTable, CopyGranularity::kDatabase}) {
+    std::string name = granularity == CopyGranularity::kTable ? "empty_table"
+                                                              : "empty_db";
+    MakeDb(name, /*tables=*/0);
+    controller_->FailMachine(controller_->ReplicasOf(name)[0]);
+    RecoveryOptions options;
+    options.granularity = granularity;
+    RecoveryManager recovery(controller_.get(), options);
+    auto results = recovery.RecoverAll(2);
+    ASSERT_EQ(results.size(), 1u) << name;
+    ASSERT_TRUE(results[0].status.ok())
+        << name << ": " << results[0].status.ToString();
+    EXPECT_TRUE(controller_->machine(results[0].target_machine)
+                    ->engine()
+                    ->HasDatabase(name))
+        << name;
+    Status ddl =
+        controller_->ExecuteDdl(name, "CREATE TABLE t (id INT PRIMARY KEY)");
+    EXPECT_TRUE(ddl.ok()) << name << ": " << ddl.ToString();
+  }
+}
+
+TEST_F(RecoveryTest, PromotedReplicaCarriesQuotaAndPlacementLoad) {
+  // Five empty machines: "a" lands on the two least loaded, 0 and 1.
+  MakeDb("a");
+  ASSERT_EQ(controller_->ReplicasOf("a"), (std::vector<int>{0, 1}));
+  qos::QuotaSpec spec;
+  spec.rate_tps = 321;
+  spec.burst = 5;
+  spec.weight = 3;
+  ASSERT_TRUE(controller_->SetDatabaseQuota("a", spec).ok());
+  controller_->FailMachine(0);
+  RecoveryManager recovery(controller_.get(), RecoveryOptions{});
+  auto results = recovery.RecoverAll(2);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  int target = results[0].target_machine;
+  ASSERT_EQ(target, 2);  // First-Fit: lowest alive machine without "a"
+  // The quota followed the database onto the promoted replica.
+  qos::QuotaSpec installed = controller_->machine(target)->GetQuota("a");
+  EXPECT_DOUBLE_EQ(installed.rate_tps, 321);
+  EXPECT_DOUBLE_EQ(installed.burst, 5);
+  EXPECT_EQ(installed.weight, 3);
+  // Machines 1 and 2 now host one replica each and 3 and 4 none, so the
+  // next database goes to 3 and 4.
+  ASSERT_TRUE(controller_->CreateDatabase("b", 2).ok());
+  EXPECT_EQ(controller_->ReplicasOf("b"), (std::vector<int>{3, 4}));
+}
+
 }  // namespace
 }  // namespace mtdb
