@@ -8,7 +8,6 @@
 #include "src/net/machine_client.h"
 #include "src/obs/metrics.h"
 #include "src/platform/mutex.h"
-#include "src/storage/wal/wal.h"
 
 namespace mtdb {
 
@@ -24,7 +23,7 @@ int64_t DumpBytes(const TableDump& dump) {
   for (const auto& [row, version] : dump.rows) {
     (void)version;
     for (const Value& value : row) {
-      bytes += static_cast<int64_t>(WriteAheadLog::EncodeValue(value).size());
+      bytes += static_cast<int64_t>(value.EncodedSize());
     }
   }
   return bytes;

@@ -1,8 +1,7 @@
 #include "src/net/codec.h"
 
-#include <cstring>
-
 #include "src/obs/metrics.h"
+#include "src/storage/codec.h"
 
 namespace mtdb::net {
 
@@ -17,118 +16,13 @@ constexpr uint8_t kFlagReadOnly = 0x01;
 constexpr uint8_t kFlagBegin = 0x02;
 constexpr uint8_t kKnownFlags = kFlagReadOnly | kFlagBegin;
 
-void AppendU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-// Bounds-checked reader over a frame payload. After the first failed read
-// every subsequent read fails too, so decode functions can read
-// unconditionally and check ok() once.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  bool ok() const { return ok_; }
-  size_t remaining() const { return data_.size(); }
-
-  uint8_t ReadU8() {
-    if (!Require(1)) return 0;
-    uint8_t v = static_cast<uint8_t>(data_[0]);
-    data_.remove_prefix(1);
-    return v;
-  }
-
-  uint32_t ReadU32() {
-    if (!Require(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[i])) << (8 * i);
-    }
-    data_.remove_prefix(4);
-    return v;
-  }
-
-  uint64_t ReadU64() {
-    if (!Require(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[i])) << (8 * i);
-    }
-    data_.remove_prefix(8);
-    return v;
-  }
-
-  std::string ReadString() {
-    uint32_t len = ReadU32();
-    if (!Require(len)) return {};
-    std::string s(data_.substr(0, len));
-    data_.remove_prefix(len);
-    return s;
-  }
-
-  Value ReadValue() {
-    if (!ok_) return Value::Null();
-    auto value = Value::DecodeFrom(&data_);
-    if (!value.ok()) {
-      ok_ = false;
-      return Value::Null();
-    }
-    return *std::move(value);
-  }
-
-  // Reads a u32 element count, bounded by the bytes actually remaining so a
-  // corrupt count cannot trigger a huge allocation (every element encodes to
-  // at least one byte).
-  uint32_t ReadCount() {
-    uint32_t n = ReadU32();
-    if (n > remaining()) ok_ = false;
-    return ok_ ? n : 0;
-  }
-
- private:
-  bool Require(size_t n) {
-    if (!ok_ || data_.size() < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view data_;
-  bool ok_ = true;
-};
-
-void AppendRow(std::string* out, const Row& row) {
-  AppendU32(out, static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) v.EncodeTo(out);
-}
-
-Row ReadRow(Cursor* in) {
-  Row row;
-  uint32_t arity = in->ReadCount();
-  row.reserve(arity);
-  for (uint32_t i = 0; i < arity && in->ok(); ++i) {
-    row.push_back(in->ReadValue());
-  }
-  return row;
-}
+using codec::AppendRow;
+using codec::AppendString;
+using codec::AppendU32;
+using codec::AppendU64;
+using codec::AppendU8;
+using codec::Cursor;
+using codec::ReadRow;
 
 void AppendQueryResult(std::string* out, const sql::QueryResult& result) {
   AppendU32(out, static_cast<uint32_t>(result.columns.size()));
@@ -154,50 +48,8 @@ sql::QueryResult ReadQueryResult(Cursor* in) {
   return result;
 }
 
-void AppendSchema(std::string* out, const TableSchema& schema) {
-  AppendString(out, schema.name());
-  AppendU32(out, static_cast<uint32_t>(schema.columns().size()));
-  for (const Column& c : schema.columns()) {
-    AppendString(out, c.name);
-    AppendU8(out, static_cast<uint8_t>(c.type));
-    AppendU8(out, c.not_null ? 1 : 0);
-  }
-  AppendU32(out, static_cast<uint32_t>(schema.primary_key_index()));
-  AppendU32(out, static_cast<uint32_t>(schema.indexes().size()));
-  for (const IndexDef& index : schema.indexes()) {
-    AppendString(out, index.name);
-    AppendU32(out, static_cast<uint32_t>(index.column_index));
-  }
-}
-
-TableSchema ReadSchema(Cursor* in) {
-  std::string name = in->ReadString();
-  uint32_t num_columns = in->ReadCount();
-  std::vector<Column> columns;
-  columns.reserve(num_columns);
-  for (uint32_t i = 0; i < num_columns && in->ok(); ++i) {
-    Column c;
-    c.name = in->ReadString();
-    c.type = static_cast<ColumnType>(in->ReadU8());
-    c.not_null = in->ReadU8() != 0;
-    columns.push_back(std::move(c));
-  }
-  int pk = static_cast<int32_t>(in->ReadU32());
-  TableSchema schema(std::move(name), std::move(columns), pk);
-  uint32_t num_indexes = in->ReadCount();
-  for (uint32_t i = 0; i < num_indexes && in->ok(); ++i) {
-    std::string index_name = in->ReadString();
-    int column_index = static_cast<int32_t>(in->ReadU32());
-    if (column_index >= 0 &&
-        column_index < static_cast<int>(schema.columns().size())) {
-      (void)schema.AddIndex(index_name, schema.columns()[column_index].name);
-    }
-  }
-  return schema;
-}
-
 void AppendTableDump(std::string* out, const TableDump& dump) {
-  AppendSchema(out, dump.schema);
+  codec::AppendSchema(out, dump.schema);
   AppendU32(out, static_cast<uint32_t>(dump.rows.size()));
   for (const auto& [row, version] : dump.rows) {
     AppendRow(out, row);
@@ -208,7 +60,7 @@ void AppendTableDump(std::string* out, const TableDump& dump) {
 
 TableDump ReadTableDump(Cursor* in) {
   TableDump dump;
-  dump.schema = ReadSchema(in);
+  dump.schema = codec::ReadSchema(in);
   uint32_t rows = in->ReadCount();
   dump.rows.reserve(rows);
   for (uint32_t i = 0; i < rows && in->ok(); ++i) {
@@ -281,8 +133,7 @@ obs::Counter* ResponseBytesCounter() {
 }  // namespace
 
 void EncodeRequestFrame(const RpcRequest& request, std::string* out) {
-  size_t frame_start = out->size();
-  AppendU32(out, 0);  // patched below
+  const size_t frame_start = codec::BeginFrame(out);
   AppendU8(out, kRequestTag);
   AppendU8(out, static_cast<uint8_t>(request.type));
   AppendU64(out, request.txn_id);
@@ -303,17 +154,13 @@ void EncodeRequestFrame(const RpcRequest& request, std::string* out) {
   AppendU64(out, request.wal_cursor);
   AppendU32(out, static_cast<uint32_t>(request.lines.size()));
   for (const std::string& line : request.lines) AppendString(out, line);
-  uint32_t payload = static_cast<uint32_t>(out->size() - frame_start - 4);
-  for (int i = 0; i < 4; ++i) {
-    (*out)[frame_start + i] = static_cast<char>((payload >> (8 * i)) & 0xff);
-  }
+  const uint32_t payload = codec::EndFrame(out, frame_start);
   obs::Increment(RequestBytesCounter(request.type),
                  static_cast<int64_t>(payload) + 4);
 }
 
 void EncodeResponseFrame(const RpcResponse& response, std::string* out) {
-  size_t frame_start = out->size();
-  AppendU32(out, 0);  // patched below
+  const size_t frame_start = codec::BeginFrame(out);
   AppendU8(out, kResponseTag);
   AppendU8(out, static_cast<uint8_t>(response.code));
   AppendString(out, response.message);
@@ -329,10 +176,7 @@ void EncodeResponseFrame(const RpcResponse& response, std::string* out) {
   AppendU64(out, static_cast<uint64_t>(response.retry_after_us));
   AppendU64(out, response.snapshot_ts);
   AppendU64(out, response.wal_lsn);
-  uint32_t payload = static_cast<uint32_t>(out->size() - frame_start - 4);
-  for (int i = 0; i < 4; ++i) {
-    (*out)[frame_start + i] = static_cast<char>((payload >> (8 * i)) & 0xff);
-  }
+  const uint32_t payload = codec::EndFrame(out, frame_start);
   obs::Increment(ResponseBytesCounter(), static_cast<int64_t>(payload) + 4);
 }
 
@@ -340,19 +184,14 @@ std::optional<std::string_view> ExtractFrame(std::string_view buffer,
                                              size_t* frame_size,
                                              Status* error) {
   *error = Status::OK();
-  if (buffer.size() < 4) return std::nullopt;
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(buffer[i])) << (8 * i);
-  }
+  if (buffer.size() < codec::kFrameHeaderBytes) return std::nullopt;
+  uint32_t len = codec::LoadU32(buffer.data());
   if (len > kMaxFrameBytes) {
     *error = Status::InvalidArgument("frame length " + std::to_string(len) +
                                      " exceeds limit");
     return std::nullopt;
   }
-  if (buffer.size() < 4 + static_cast<size_t>(len)) return std::nullopt;
-  *frame_size = 4 + static_cast<size_t>(len);
-  return buffer.substr(4, len);
+  return codec::SplitFrame(buffer, frame_size);
 }
 
 Result<RpcRequest> DecodeRequest(std::string_view payload) {

@@ -12,15 +12,14 @@
 namespace mtdb::net {
 
 // The wire format (DESIGN.md §8): every message is one length-prefixed frame
+// of the shared storage codec (storage/codec.h), the same framing and field
+// encodings the redo log uses:
 //
 //   frame   := u32 payload-length (little-endian) | payload
 //   payload := u8 message-tag | fields...
 //
-// Fields are fixed-width little-endian integers; strings and repeated fields
-// are u32-count-prefixed; SQL values use the tagged encoding of
-// Value::EncodeTo. Decoding is fully bounds-checked: a truncated frame, a
-// trailing byte, or an unknown tag yields an error Status, never a crash or
-// a partial message.
+// Decoding is fully bounds-checked: a truncated frame, a trailing byte, or an
+// unknown tag yields an error Status, never a crash or a partial message.
 
 // Frames larger than this are rejected as corrupt before any allocation.
 inline constexpr uint32_t kMaxFrameBytes = 256u << 20;  // 256 MiB

@@ -162,17 +162,18 @@ class MachineClient {
                    const TableDump& dump);
 
   // Live-migration delta calls (kWalDeltaRead / kWalDeltaApply); transient
-  // channels, like the dump calls. WalDeltaRead returns the raw WAL lines
-  // the target must replay to catch db_name up past `wal_cursor`, and sets
-  // `*frontier` to the source-WAL LSN the delta reaches (the next round's
-  // cursor). Cursor UINT64_MAX is a probe: frontier only, no lines; a
-  // source without a WAL answers kFailedPrecondition.
+  // channels, like the dump calls. WalDeltaRead returns the encoded WAL
+  // records the target must replay to catch db_name up past `wal_cursor`,
+  // and sets `*frontier` to the source-WAL LSN the delta reaches (the next
+  // round's cursor). Cursor UINT64_MAX is a probe: frontier only, no
+  // records; a source without a WAL answers kFailedPrecondition.
   Result<std::vector<std::string>> WalDeltaRead(int machine_id,
                                                 const std::string& db_name,
                                                 uint64_t wal_cursor,
                                                 uint64_t* frontier);
-  // Replays delta lines on the target (DDL idempotently, row images as
-  // upserts). Lines must come from WalDeltaRead against the same database.
+  // Replays delta records on the target (DDL idempotently, row images as
+  // upserts); a malformed record fails the whole call with nothing
+  // applied. Records must come from WalDeltaRead against the same database.
   Status WalDeltaApply(int machine_id, const std::string& db_name,
                        const std::vector<std::string>& lines);
 

@@ -16,6 +16,7 @@
 #include "src/platform/mutex.h"
 #include "src/net/codec.h"
 #include "src/net/machine_service.h"
+#include "src/storage/codec.h"
 
 namespace mtdb::net {
 
@@ -38,7 +39,7 @@ bool WriteAll(int fd, const char* data, size_t size) {
 // Reads one length-prefixed frame payload into *payload. Returns false on
 // EOF or error (connection is finished either way).
 bool ReadFrame(int fd, std::string* payload) {
-  char header[4];
+  char header[codec::kFrameHeaderBytes];
   size_t have = 0;
   while (have < sizeof(header)) {
     ssize_t n = ::recv(fd, header + have, sizeof(header) - have, 0);
@@ -46,10 +47,7 @@ bool ReadFrame(int fd, std::string* payload) {
     if (n <= 0) return false;
     have += static_cast<size_t>(n);
   }
-  uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(static_cast<uint8_t>(header[i])) << (8 * i);
-  }
+  const uint32_t length = codec::LoadU32(header);
   if (length > kMaxFrameBytes) return false;
   payload->resize(length);
   size_t off = 0;

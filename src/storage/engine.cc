@@ -86,13 +86,12 @@ Engine::Engine(std::string site_name, EngineOptions options)
         registry.GetHistogram("mtdb_mvcc_snapshot_begin_us", labels);
   }
   if (!options_.wal_path.empty()) {
-    WriteAheadLog::Options wal_options;
-    wal_options.sync_on_commit = options_.wal_sync_on_commit;
-    wal_options.sync_policy = options_.wal_sync_policy;
-    wal_options.async_max_lag_records = options_.wal_async_max_lag_records;
-    wal_options.sync_delay_us = options_.wal_sync_delay_us;
-    wal_options.metrics_label = site_name_;
-    auto wal = WriteAheadLog::Open(options_.wal_path, wal_options);
+    auto wal = WriteAheadLog::Open(
+        options_.wal_path,
+        {.sync_policy = options_.wal_sync_policy,
+         .async_max_lag_records = options_.wal_async_max_lag_records,
+         .sync_delay_us = options_.wal_sync_delay_us,
+         .metrics_label = site_name_});
     if (wal.ok()) {
       wal_ = std::move(*wal);
     } else {
@@ -122,8 +121,8 @@ Status Engine::CreateDatabase(const std::string& db_name) {
       databases_.try_emplace(db_name, std::make_unique<Database>(db_name));
   if (!inserted) return Status::AlreadyExists("database " + db_name);
   if (wal_ != nullptr) {
-    MTDB_RETURN_IF_ERROR(
-        wal_->AppendDdl(WalRecordType::kCreateDatabase, db_name, "", ""));
+    MTDB_RETURN_IF_ERROR(wal_->AppendDdl(
+        {.type = WalRecordType::kCreateDatabase, .database = db_name}));
   }
   BumpSchemaVersion(db_name);
   return Status::OK();
@@ -164,14 +163,10 @@ std::vector<std::string> Engine::DatabaseNames() const {
 Status Engine::CreateTable(const std::string& db_name, TableSchema schema) {
   Database* db = GetDatabase(db_name);
   if (db == nullptr) return Status::NotFound("database " + db_name);
-  std::string table_name = schema.name();
-  std::string encoded =
-      wal_ != nullptr ? WriteAheadLog::EncodeSchema(schema) : std::string();
+  WalRecord ddl{.type = WalRecordType::kCreateTable, .database = db_name};
+  if (wal_ != nullptr) ddl.schema = schema;
   MTDB_RETURN_IF_ERROR(db->CreateTable(std::move(schema)));
-  if (wal_ != nullptr) {
-    MTDB_RETURN_IF_ERROR(wal_->AppendDdl(WalRecordType::kCreateTable, db_name,
-                                         table_name, encoded));
-  }
+  if (wal_ != nullptr) MTDB_RETURN_IF_ERROR(wal_->AppendDdl(ddl));
   BumpSchemaVersion(db_name);
   return Status::OK();
 }
@@ -183,9 +178,12 @@ Status Engine::CreateIndex(const std::string& db_name,
   MTDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(db_name, table_name));
   MTDB_RETURN_IF_ERROR(table->AddIndex(index_name, column_name));
   if (wal_ != nullptr) {
-    MTDB_RETURN_IF_ERROR(wal_->AppendDdl(WalRecordType::kCreateIndex, db_name,
-                                         table_name,
-                                         index_name + ":" + column_name));
+    MTDB_RETURN_IF_ERROR(
+        wal_->AppendDdl({.type = WalRecordType::kCreateIndex,
+                         .database = db_name,
+                         .table = table_name,
+                         .index_name = index_name,
+                         .column_name = column_name}));
   }
   BumpSchemaVersion(db_name);
   return Status::OK();
@@ -411,7 +409,7 @@ Status Engine::Prepare(uint64_t txn_id) {
   if (options_.release_read_locks_on_prepare && !txn->read_only) {
     lock_manager_.ReleaseReadLocks(txn_id);
   }
-  if (prepare_lsn != 0 && options_.wal_sync_on_commit) {
+  if (prepare_lsn != 0) {
     MTDB_RETURN_IF_ERROR(wal_->AwaitDurable(prepare_lsn));
   }
   return Status::OK();
@@ -458,7 +456,7 @@ Status Engine::CommitPrepared(uint64_t txn_id) {
   }
   // The durability wait comes after lock release: the fsync (the slow part)
   // no longer extends the lock hold time, which is the group-commit win.
-  if (commit_lsn != 0 && options_.wal_sync_on_commit) {
+  if (commit_lsn != 0) {
     MTDB_RETURN_IF_ERROR(wal_->AwaitDurable(commit_lsn));
   }
   return Status::OK();
@@ -503,7 +501,7 @@ Status Engine::Commit(uint64_t txn_id) {
   // failed wait is surfaced to the caller: in-memory state has advanced but
   // the log is sticky-dead, so every later commit fails too — the machine
   // is effectively write-dead rather than silently non-durable.
-  if (commit_lsn != 0 && options_.wal_sync_on_commit) {
+  if (commit_lsn != 0) {
     MTDB_RETURN_IF_ERROR(wal_->AwaitDurable(commit_lsn));
   }
   return Status::OK();

@@ -60,8 +60,8 @@ struct EngineOptions {
   // Non-empty: append a redo-only write-ahead log to this file. Recover a
   // crashed engine's state with WriteAheadLog::Recover(path, fresh_engine).
   std::string wal_path;
-  bool wal_sync_on_commit = true;
-  // Group-commit pipeline knobs, forwarded into WalOptions (DESIGN.md §15).
+  // Group-commit pipeline knobs, forwarded into wal::LogWriterOptions
+  // (DESIGN.md §15).
   // The sync policy is the durability ablation axis: per-commit (one sync
   // per decision), group (coalesced, the default), async (bounded-lag
   // background sync).
@@ -232,12 +232,14 @@ class Engine {
   Status BulkInsertVersioned(const std::string& db_name,
                              const std::string& table_name,
                              const std::vector<std::pair<Row, uint64_t>>& rows);
-  // Applies one redo row image from a live-migration WAL delta (kInsert /
-  // kUpdate / kDelete). Upsert semantics: the same committed transaction may
-  // be shipped by more than one catch-up round only if the log is replayed
-  // from scratch, but an insert-then-update chain within a round must land
-  // on whatever the bulk copy already installed. Like BulkInsertVersioned,
-  // never WAL-logged — the migrated replica re-seeds by re-copy on restart.
+  // Applies one redo row image (kInsert / kUpdate / kDelete), validated
+  // against the table's schema: WriteAheadLog::Replay's row step, for
+  // recovery and live-migration deltas alike. Upsert semantics: the same
+  // committed transaction may be shipped by more than one catch-up round
+  // only if the log is replayed from scratch, but an insert-then-update
+  // chain within a round must land on whatever the bulk copy already
+  // installed. Like BulkInsertVersioned, never WAL-logged — the migrated
+  // replica re-seeds by re-copy on restart.
   Status ApplyRedoRow(const std::string& db_name, const std::string& table_name,
                       WalRecordType type, const Value& primary_key,
                       const Row& row);

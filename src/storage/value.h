@@ -77,6 +77,8 @@ class Value {
   // followed by the payload (8-byte little-endian for INT64/DOUBLE, u32
   // length + bytes for STRING, nothing for NULL).
   void EncodeTo(std::string* out) const;
+  // The number of bytes EncodeTo appends.
+  size_t EncodedSize() const;
   // Decodes one value from the front of *data, advancing it past the bytes
   // consumed. Rejects truncated input and unknown tags.
   static Result<Value> DecodeFrom(std::string_view* data);

@@ -28,76 +28,54 @@ enum class WalRecordType {
   kAbort,
 };
 
-// One parsed log record. Field usage depends on the type.
+// One log record. Field usage depends on the type. (Members without another
+// initializer are braced so designated initializers may omit them under
+// -Wextra.)
 struct WalRecord {
-  WalRecordType type;
-  uint64_t txn_id = 0;       // row ops, prepare, commit, abort
-  std::string database;
-  std::string table;         // also index target
-  std::string aux;           // index name / serialized schema
-  Value primary_key;
-  Row row;                   // after-image for insert/update
+  WalRecordType type = WalRecordType::kCommit;
+  uint64_t txn_id = 0;        // row ops, prepare, commit, abort
+  std::string database{};     // DDL, row ops
+  std::string table{};        // kCreateIndex, row ops
+  TableSchema schema{};       // kCreateTable
+  std::string index_name{};   // kCreateIndex
+  std::string column_name{};  // kCreateIndex
+  Value primary_key{};        // row ops
+  Row row{};                  // after-image for insert/update
 };
 
-// A redo-only write-ahead log, line-oriented and human-greppable. The engine
-// appends row after-images as statements execute and a COMMIT record at
-// transaction commit; recovery replays the redo of committed transactions in
-// log order, discarding losers. (The in-memory tables are the volatile
-// buffer; this log is the persistent copy — a no-steal/redo-only regime, so
-// no undo is ever needed at recovery time.)
+// A redo-only write-ahead log. The engine appends row after-images as
+// statements execute and a COMMIT record at transaction commit; recovery
+// replays the redo of committed transactions in log order, discarding
+// losers. (The in-memory tables are the volatile buffer; this log is the
+// persistent copy — a no-steal/redo-only regime, so no undo is ever needed
+// at recovery time.)
+//
+// Each record is one frame of the shared binary codec (storage/codec.h),
+// u32 length | payload, the framing the RPC wire uses; only wal.cc knows the
+// payload layout. A record's LSN is its 1-based index in the file.
 //
 // Durability runs through the wal::LogWriter group-commit pipeline
 // (log_writer.h): appends enqueue onto a bounded queue and return an LSN, a
 // dedicated log thread coalesces queued records into one write+sync, and
-// AwaitDurable(lsn) releases committers in LSN order. The on-disk format is
-// unchanged — one escaped line per record — so ReadAll/Recover and the
-// dump/copy machinery read logs from either era.
+// AwaitDurable(lsn) releases committers in LSN order.
 //
 // Thread-safe: concurrent appends are serialized by the pipeline's queue;
 // record order in the file is LSN order.
-struct WalOptions {
-  // Wait for the commit record to be durable (per the sync policy) before
-  // Commit returns to the caller.
-  bool sync_on_commit = true;
-
-  // How committers are released relative to the device sync — the ablation
-  // axis of the group-commit study (see wal::SyncPolicy).
-  wal::SyncPolicy sync_policy = wal::SyncPolicy::kGroup;
-
-  // kAsync only: bound on written-but-unsynced records (a crash loses at
-  // most this suffix).
-  int64_t async_max_lag_records = 64;
-
-  // Modeled log-device sync latency in microseconds (the host file system
-  // stands in for the disk; see LogWriterOptions::sync_delay_us).
-  int64_t sync_delay_us = 0;
-
-  // Commit-queue bound; appenders block when it is full.
-  size_t max_queue_records = 4096;
-
-  // {machine=} label for the mtdb_wal_* metric series.
-  std::string metrics_label;
-};
-
 class WriteAheadLog {
  public:
-  using Options = WalOptions;
-
   // Opens (appending) or creates the log file and starts the log thread.
-  static Result<std::unique_ptr<WriteAheadLog>> Open(const std::string& path,
-                                                     Options options = {});
+  static Result<std::unique_ptr<WriteAheadLog>> Open(
+      const std::string& path, wal::LogWriterOptions options = {});
   ~WriteAheadLog();
 
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   const std::string& path() const { return writer_->path(); }
-  const Options& options() const { return options_; }
 
   // DDL is rare and structural: appended and synced before returning,
-  // regardless of policy.
-  Status AppendDdl(WalRecordType type, const std::string& database,
-                   const std::string& table, const std::string& aux);
+  // regardless of policy. `record` is a kCreate* record.
+  Status AppendDdl(const WalRecord& record);
   // Row after-images are enqueued without waiting; the decision record that
   // follows them (same LSN order) carries their durability.
   Status AppendRowOp(WalRecordType type, uint64_t txn_id,
@@ -112,10 +90,6 @@ class WriteAheadLog {
   // configured policy.
   Status AwaitDurable(uint64_t lsn);
 
-  // Compatibility wrapper: enqueue + AwaitDurable when the record is a
-  // commit and sync_on_commit is set (the pre-pipeline contract).
-  Status AppendDecision(WalRecordType type, uint64_t txn_id);
-
   // Full durability barrier: everything appended so far is written+synced.
   Status Sync();
 
@@ -124,50 +98,52 @@ class WriteAheadLog {
   // The underlying pipeline (sync counters, crash injection for tests).
   wal::LogWriter* writer() { return writer_.get(); }
 
-  // Reads every well-formed record of a log file (a torn final line — the
-  // classic crash artifact — is ignored).
+  // Every record of a log file, in LSN order. Every reader of a log file
+  // shares this frame policy: a length prefix that runs past end of file is
+  // the torn tail a crash leaves and ends the log, whatever its value; a
+  // complete frame that fails to decode is an error.
   static Result<std::vector<WalRecord>> ReadAll(const std::string& path);
 
-  // Live-migration delta read (LSN = 1-based line number; the LogWriter
-  // appends exactly one line per record, so file order is LSN order).
-  // Returns, in log order, the raw lines a migration target must replay to
-  // catch `database` up past the `after_lsn` frontier:
-  //   * DDL lines for the database with LSN > after_lsn, and
-  //   * row-op lines of transactions whose COMMIT record has LSN >
-  //     after_lsn — the op lines themselves may be older (a transaction
+  // Live-migration delta read. Returns, in log order, the encoded records a
+  // migration target must replay to catch `database` up past the
+  // `after_lsn` frontier:
+  //   * DDL records for the database with LSN > after_lsn, and
+  //   * row-op records of transactions whose COMMIT record has LSN >
+  //     after_lsn — the op records themselves may be older (a transaction
   //     in flight when the previous round read the log), which is why the
-  //     filter keys on the decision LSN, not the op LSN. Bulk-load lines
+  //     filter keys on the decision LSN, not the op LSN. Bulk-load records
   //     (pseudo-transaction 0, implicitly committed) key on their own LSN.
   // Aborted and still-undecided transactions are excluded, so the returned
-  // lines are unconditionally applicable on the target. `frontier` receives
-  // the LSN of the last complete line; passing it back as the next round's
-  // after_lsn yields disjoint, gap-free rounds. Callers must Sync() the
-  // live log first so enqueued records have reached the file.
+  // records are unconditionally applicable on the target. `frontier`
+  // receives the LSN of the last complete record; passing it back as the
+  // next round's after_lsn yields disjoint, gap-free rounds. Callers must
+  // Sync() the live log first so enqueued records have reached the file.
   static Result<std::vector<std::string>> ReadCommittedDeltaSince(
       const std::string& path, const std::string& database,
       uint64_t after_lsn, uint64_t* frontier);
 
-  // Parses raw delta lines (as returned by ReadCommittedDeltaSince) back
-  // into records; malformed lines are skipped, like ReadAll.
-  static std::vector<WalRecord> ParseDeltaLines(
-      const std::vector<std::string>& lines);
+  // Decodes encoded records (as returned by ReadCommittedDeltaSince). Fails
+  // with kInvalidArgument if any record does not decode, so a caller can
+  // reject a whole delta before applying any of it.
+  static Result<std::vector<WalRecord>> DecodeRecords(
+      const std::vector<std::string>& encoded);
 
-  // Rebuilds engine state from a log: replays DDL immediately and the row
-  // images of committed transactions in commit order. The engine must be
-  // fresh (no databases).
+  // Applies records in order: DDL through the engine's catalog calls (an
+  // object that already exists is kept — a migration's bulk copy may have
+  // created it), row images through Engine::ApplyRedoRow, which validates
+  // them against the table's schema. Decision records are skipped: callers
+  // pass only the row images of committed transactions.
+  static Status Replay(const std::vector<WalRecord>& records, Engine* engine);
+
+  // Rebuilds engine state from a log: replays DDL and the row images of
+  // committed transactions in log order. The engine must be fresh (no
+  // databases).
   static Status Recover(const std::string& path, Engine* engine);
 
-  // --- Serialization helpers (exposed for tests) ---
-  static std::string EncodeValue(const Value& value);
-  static Result<Value> DecodeValue(const std::string& text);
-  static std::string EncodeSchema(const TableSchema& schema);
-  static Result<TableSchema> DecodeSchema(const std::string& text);
-
  private:
-  WriteAheadLog(std::unique_ptr<wal::LogWriter> writer, Options options);
+  explicit WriteAheadLog(std::unique_ptr<wal::LogWriter> writer);
 
   std::unique_ptr<wal::LogWriter> writer_;
-  Options options_;
 };
 
 }  // namespace mtdb
