@@ -18,17 +18,6 @@ namespace {
 constexpr uint64_t kDumpTxnBase = 1ull << 48;
 std::atomic<uint64_t> dump_txn_seq{0};
 
-int64_t DumpBytes(const TableDump& dump) {
-  int64_t bytes = 0;
-  for (const auto& [row, version] : dump.rows) {
-    (void)version;
-    for (const Value& value : row) {
-      bytes += static_cast<int64_t>(value.EncodedSize());
-    }
-  }
-  return bytes;
-}
-
 }  // namespace
 
 Result<int64_t> CopyReplica(ClusterController* controller,
@@ -46,34 +35,30 @@ Result<int64_t> CopyReplica(ClusterController* controller,
     return Status::OK();
   };
   MTDB_RETURN_IF_ERROR(client->CreateDatabase(target, db_name));
-  std::vector<std::string> tables;
-  std::vector<TableDump> whole;  // kDatabase: every table under one S lock
-  if (granularity == CopyGranularity::kDatabase) {
-    MTDB_RETURN_IF_ERROR(open_window("*"));
-    MTDB_ASSIGN_OR_RETURN(
-        whole, client->DumpDatabase(source, db_name,
-                                    kDumpTxnBase + dump_txn_seq.fetch_add(1),
-                                    per_row_delay_us));
-    for (const TableDump& dump : whole) tables.push_back(dump.schema.name());
-  } else {
-    MTDB_ASSIGN_OR_RETURN(tables, client->ListTables(source, db_name));
+  // One window per table, or "*" for the whole kDatabase copy.
+  std::vector<std::string> windows = {"*"};
+  if (granularity == CopyGranularity::kTable) {
+    MTDB_ASSIGN_OR_RETURN(windows, client->ListTables(source, db_name));
   }
   int64_t bytes = 0;
-  for (size_t i = 0; i < tables.size(); ++i) {
-    TableDump dump;
-    if (granularity == CopyGranularity::kDatabase) {
-      dump = std::move(whole[i]);
-    } else {
-      MTDB_RETURN_IF_ERROR(open_window(tables[i]));
-      MTDB_ASSIGN_OR_RETURN(
-          dump, client->DumpTable(source, db_name, tables[i],
-                                  kDumpTxnBase + dump_txn_seq.fetch_add(1),
-                                  per_row_delay_us));
+  for (const std::string& window : windows) {
+    MTDB_RETURN_IF_ERROR(open_window(window));
+    MTDB_ASSIGN_OR_RETURN(
+        std::vector<std::string> records,
+        client->DumpTable(source, db_name, window,
+                          kDumpTxnBase + dump_txn_seq.fetch_add(1),
+                          per_row_delay_us));
+    for (const std::string& record : records) {
+      bytes += static_cast<int64_t>(record.size());
     }
-    bytes += DumpBytes(dump);
-    MTDB_RETURN_IF_ERROR(client->ApplyDump(target, db_name, dump));
-    if (algorithm1) {
-      MTDB_RETURN_IF_ERROR(controller->MarkTableCopied(db_name, tables[i]));
+    MTDB_RETURN_IF_ERROR(client->WalDeltaApply(target, db_name, records));
+    if (!algorithm1) continue;
+    std::vector<std::string> copied = {window};
+    if (window == "*") {
+      MTDB_ASSIGN_OR_RETURN(copied, client->ListTables(target, db_name));
+    }
+    for (const std::string& table : copied) {
+      MTDB_RETURN_IF_ERROR(controller->MarkTableCopied(db_name, table));
     }
   }
   return bytes;

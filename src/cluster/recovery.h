@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/cluster/cluster_controller.h"
-#include "src/storage/dump.h"
 
 namespace mtdb {
 
@@ -18,13 +17,14 @@ enum class CopyGranularity { kTable, kDatabase };
 
 // The one replica copy behind recovery (Section 3.2) and live migration
 // (DESIGN.md §16): the off-the-shelf copy tool, run over machine RPCs.
-// Creates db_name on `target`, then dumps each table on `source` and applies
-// it on `target`. The source holds one S lock per table (kTable) or one
-// over every table for the whole dump (kDatabase). With `algorithm1` the
-// copy runs inside the target's active BeginCopy: writes to the window —
-// the table being dumped, or "*" for the whole kDatabase copy — are
-// rejected, writes routed before it opened are waited out, and each applied
-// table is marked copied. Returns the bytes of the applied dumps.
+// Creates db_name on `target` (failing if it is already there), then, for
+// each window — each table (kTable), or "*" for every table under one set
+// of S locks (kDatabase) — dumps the window on `source` as WAL records and
+// replays them on `target` through WriteAheadLog::Replay, which logs them
+// to the target's WAL. With `algorithm1` the copy runs inside the target's
+// active BeginCopy: writes to the window are rejected, writes routed before
+// it opened are waited out, and the window's tables are marked copied once
+// applied. Returns the bytes of the applied records.
 Result<int64_t> CopyReplica(ClusterController* controller,
                             const std::string& db_name, int source, int target,
                             CopyGranularity granularity, bool algorithm1,

@@ -48,30 +48,6 @@ sql::QueryResult ReadQueryResult(Cursor* in) {
   return result;
 }
 
-void AppendTableDump(std::string* out, const TableDump& dump) {
-  codec::AppendSchema(out, dump.schema);
-  AppendU32(out, static_cast<uint32_t>(dump.rows.size()));
-  for (const auto& [row, version] : dump.rows) {
-    AppendRow(out, row);
-    AppendU64(out, version);
-  }
-  AppendU64(out, dump.max_version);
-}
-
-TableDump ReadTableDump(Cursor* in) {
-  TableDump dump;
-  dump.schema = codec::ReadSchema(in);
-  uint32_t rows = in->ReadCount();
-  dump.rows.reserve(rows);
-  for (uint32_t i = 0; i < rows && in->ok(); ++i) {
-    Row row = ReadRow(in);
-    uint64_t version = in->ReadU64();
-    dump.rows.emplace_back(std::move(row), version);
-  }
-  dump.max_version = in->ReadU64();
-  return dump;
-}
-
 }  // namespace
 
 std::string_view RpcTypeName(RpcType type) {
@@ -89,8 +65,6 @@ std::string_view RpcTypeName(RpcType type) {
     case RpcType::kExecuteDdl: return "ExecuteDdl";
     case RpcType::kBulkLoad: return "BulkLoad";
     case RpcType::kDumpTable: return "DumpTable";
-    case RpcType::kDumpDatabase: return "DumpDatabase";
-    case RpcType::kApplyDump: return "ApplyDump";
     case RpcType::kListPrepared: return "ListPrepared";
     case RpcType::kListActive: return "ListActive";
     case RpcType::kListTables: return "ListTables";
@@ -114,9 +88,10 @@ obs::Counter* RequestBytesCounter(RpcType type) {
   static obs::Counter** counters = [] {
     auto** array = new obs::Counter*[kNumRpcTypes]();
     for (int i = 1; i < kNumRpcTypes; ++i) {
+      std::string_view name = RpcTypeName(static_cast<RpcType>(i));
+      if (name == "?") continue;
       array[i] = obs::MetricsRegistry::Global().GetCounter(
-          "mtdb_rpc_request_bytes_total",
-          {.operation = std::string(RpcTypeName(static_cast<RpcType>(i)))});
+          "mtdb_rpc_request_bytes_total", {.operation = std::string(name)});
     }
     return array;
   }();
@@ -144,7 +119,6 @@ void EncodeRequestFrame(const RpcRequest& request, std::string* out) {
   for (const Value& v : request.params) v.EncodeTo(out);
   AppendU32(out, static_cast<uint32_t>(request.rows.size()));
   for (const Row& row : request.rows) AppendRow(out, row);
-  AppendTableDump(out, request.dump);
   AppendU64(out, static_cast<uint64_t>(request.per_row_delay_us));
   AppendU64(out, static_cast<uint64_t>(request.debug_delay_us));
   AppendU64(out, request.stmt_handle);
@@ -165,8 +139,6 @@ void EncodeResponseFrame(const RpcResponse& response, std::string* out) {
   AppendU8(out, static_cast<uint8_t>(response.code));
   AppendString(out, response.message);
   AppendQueryResult(out, response.result);
-  AppendU32(out, static_cast<uint32_t>(response.dumps.size()));
-  for (const TableDump& dump : response.dumps) AppendTableDump(out, dump);
   AppendU32(out, static_cast<uint32_t>(response.txn_ids.size()));
   for (uint64_t id : response.txn_ids) AppendU64(out, id);
   AppendU32(out, static_cast<uint32_t>(response.names.size()));
@@ -201,8 +173,7 @@ Result<RpcRequest> DecodeRequest(std::string_view payload) {
   }
   RpcRequest request;
   uint8_t type = in.ReadU8();
-  if (type < static_cast<uint8_t>(RpcType::kHealth) ||
-      type > static_cast<uint8_t>(RpcType::kWalDeltaApply)) {
+  if (RpcTypeName(static_cast<RpcType>(type)) == "?") {
     return Status::InvalidArgument("unknown request type " +
                                    std::to_string(type));
   }
@@ -221,7 +192,6 @@ Result<RpcRequest> DecodeRequest(std::string_view payload) {
   for (uint32_t i = 0; i < rows && in.ok(); ++i) {
     request.rows.push_back(ReadRow(&in));
   }
-  request.dump = ReadTableDump(&in);
   request.per_row_delay_us = static_cast<int64_t>(in.ReadU64());
   request.debug_delay_us = static_cast<int64_t>(in.ReadU64());
   request.stmt_handle = in.ReadU64();
@@ -260,11 +230,6 @@ Result<RpcResponse> DecodeResponse(std::string_view payload) {
   response.code = static_cast<StatusCode>(code);
   response.message = in.ReadString();
   response.result = ReadQueryResult(&in);
-  uint32_t dumps = in.ReadCount();
-  response.dumps.reserve(dumps);
-  for (uint32_t i = 0; i < dumps && in.ok(); ++i) {
-    response.dumps.push_back(ReadTableDump(&in));
-  }
   uint32_t txns = in.ReadCount();
   response.txn_ids.reserve(txns);
   for (uint32_t i = 0; i < txns && in.ok(); ++i) {

@@ -27,8 +27,9 @@ const ClientRpcMetrics& MetricsForType(RpcType type) {
     auto* entries = new ClientRpcMetrics[kNumTypes];
     auto& registry = obs::MetricsRegistry::Global();
     for (int i = 1; i < kNumTypes; ++i) {
-      obs::MetricLabels labels{
-          .operation = std::string(RpcTypeName(static_cast<RpcType>(i)))};
+      std::string_view name = RpcTypeName(static_cast<RpcType>(i));
+      if (name == "?") continue;
+      obs::MetricLabels labels{.operation = std::string(name)};
       entries[i].calls = registry.GetCounter("mtdb_rpc_total", labels);
       entries[i].timeouts =
           registry.GetCounter("mtdb_rpc_timeout_total", labels);
@@ -301,11 +302,9 @@ Status MachineClient::SetQuota(int machine_id, const std::string& db_name,
   return ControlCall(machine_id, request).ToStatus();
 }
 
-Result<TableDump> MachineClient::DumpTable(int machine_id,
-                                           const std::string& db_name,
-                                           const std::string& table,
-                                           uint64_t dump_txn_id,
-                                           int64_t per_row_delay_us) {
+Result<std::vector<std::string>> MachineClient::DumpTable(
+    int machine_id, const std::string& db_name, const std::string& table,
+    uint64_t dump_txn_id, int64_t per_row_delay_us) {
   RpcRequest request;
   request.type = RpcType::kDumpTable;
   request.txn_id = dump_txn_id;
@@ -315,35 +314,7 @@ Result<TableDump> MachineClient::DumpTable(int machine_id,
   auto channel = transport_->OpenChannel(machine_id);
   RpcResponse response = CallSync(channel.get(), machine_id, request);
   if (!response.ok()) return response.ToStatus();
-  if (response.dumps.size() != 1) {
-    return Status::Internal("DumpTable reply carried " +
-                            std::to_string(response.dumps.size()) + " dumps");
-  }
-  return std::move(response.dumps[0]);
-}
-
-Result<std::vector<TableDump>> MachineClient::DumpDatabase(
-    int machine_id, const std::string& db_name, uint64_t dump_txn_id,
-    int64_t per_row_delay_us) {
-  RpcRequest request;
-  request.type = RpcType::kDumpDatabase;
-  request.txn_id = dump_txn_id;
-  request.db_name = db_name;
-  request.per_row_delay_us = per_row_delay_us;
-  auto channel = transport_->OpenChannel(machine_id);
-  RpcResponse response = CallSync(channel.get(), machine_id, request);
-  if (!response.ok()) return response.ToStatus();
-  return std::move(response.dumps);
-}
-
-Status MachineClient::ApplyDump(int machine_id, const std::string& db_name,
-                                const TableDump& dump) {
-  RpcRequest request;
-  request.type = RpcType::kApplyDump;
-  request.db_name = db_name;
-  request.dump = dump;
-  auto channel = transport_->OpenChannel(machine_id);
-  return CallSync(channel.get(), machine_id, request).ToStatus();
+  return std::move(response.names);
 }
 
 Result<std::vector<std::string>> MachineClient::WalDeltaRead(
@@ -353,7 +324,7 @@ Result<std::vector<std::string>> MachineClient::WalDeltaRead(
   request.type = RpcType::kWalDeltaRead;
   request.db_name = db_name;
   request.wal_cursor = wal_cursor;
-  // Transient channel, like the dump calls: a delta round can be large and
+  // Transient channel, like the dump call: a delta round can be large and
   // must not head-of-line-block the control channel.
   auto channel = transport_->OpenChannel(machine_id);
   RpcResponse response = CallSync(channel.get(), machine_id, request);

@@ -148,21 +148,20 @@ class MachineClient {
   Status SetQuota(int machine_id, const std::string& db_name, double rate_tps,
                   double burst, int weight);
 
-  // Copy-tool calls run on a transient channel of their own: a dump can
-  // legitimately take seconds (per_row_delay_us models the paper's copy
-  // cost) and must not head-of-line-block the control channel.
-  Result<TableDump> DumpTable(int machine_id, const std::string& db_name,
-                              const std::string& table, uint64_t dump_txn_id,
-                              int64_t per_row_delay_us);
-  Result<std::vector<TableDump>> DumpDatabase(int machine_id,
-                                              const std::string& db_name,
-                                              uint64_t dump_txn_id,
-                                              int64_t per_row_delay_us);
-  Status ApplyDump(int machine_id, const std::string& db_name,
-                   const TableDump& dump);
+  // The copy tool's source side (kDumpTable) on a transient channel of its
+  // own: a dump can legitimately take seconds (per_row_delay_us models the
+  // paper's copy cost) and must not head-of-line-block the control
+  // channel. Returns `table` ("*" = every table under one set of S locks)
+  // as encoded WAL records (DumpRecords in storage/dump.h); WalDeltaApply
+  // installs them on the target.
+  Result<std::vector<std::string>> DumpTable(int machine_id,
+                                             const std::string& db_name,
+                                             const std::string& table,
+                                             uint64_t dump_txn_id,
+                                             int64_t per_row_delay_us);
 
   // Live-migration delta calls (kWalDeltaRead / kWalDeltaApply); transient
-  // channels, like the dump calls. WalDeltaRead returns the encoded WAL
+  // channels, like the dump call. WalDeltaRead returns the encoded WAL
   // records the target must replay to catch db_name up past `wal_cursor`,
   // and sets `*frontier` to the source-WAL LSN the delta reaches (the next
   // round's cursor). Cursor UINT64_MAX is a probe: frontier only, no
@@ -171,9 +170,10 @@ class MachineClient {
                                                 const std::string& db_name,
                                                 uint64_t wal_cursor,
                                                 uint64_t* frontier);
-  // Replays delta records on the target (DDL idempotently, row images as
-  // upserts); a malformed record fails the whole call with nothing
-  // applied. Records must come from WalDeltaRead against the same database.
+  // Replays encoded records on the target (DDL idempotently, row images as
+  // upserts, logged to the target's WAL); a malformed record fails the
+  // whole call with nothing applied. Records must come from DumpTable or
+  // WalDeltaRead against the same database.
   Status WalDeltaApply(int machine_id, const std::string& db_name,
                        const std::vector<std::string>& lines);
 

@@ -23,9 +23,10 @@ Histogram* ServerLatencyFor(RpcType type) {
   static Histogram** table = [] {
     auto** entries = new Histogram*[kNumTypes]();
     for (int i = 1; i < kNumTypes; ++i) {
+      std::string_view name = RpcTypeName(static_cast<RpcType>(i));
+      if (name == "?") continue;
       entries[i] = obs::MetricsRegistry::Global().GetHistogram(
-          "mtdb_rpc_server_us",
-          {.operation = std::string(RpcTypeName(static_cast<RpcType>(i)))});
+          "mtdb_rpc_server_us", {.operation = std::string(name)});
     }
     return entries;
   }();
@@ -197,26 +198,13 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
     case RpcType::kDumpTable: {
       DumpOptions options;
       options.per_row_delay_us = request.per_row_delay_us;
-      auto dump_or = DumpTable(engine.get(), request.db_name, request.table,
-                               request.txn_id, options);
-      if (!dump_or.ok()) return RpcResponse::FromStatus(dump_or.status());
+      auto records_or = DumpRecords(engine.get(), request.db_name,
+                                    request.table, request.txn_id, options);
+      if (!records_or.ok()) return RpcResponse::FromStatus(records_or.status());
       RpcResponse response;
-      response.dumps.push_back(std::move(*dump_or));
+      response.names = std::move(*records_or);
       return response;
     }
-    case RpcType::kDumpDatabase: {
-      DumpOptions options;
-      options.per_row_delay_us = request.per_row_delay_us;
-      auto dump_or = DumpDatabaseCoarse(engine.get(), request.db_name,
-                                        request.txn_id, options);
-      if (!dump_or.ok()) return RpcResponse::FromStatus(dump_or.status());
-      RpcResponse response;
-      response.dumps = std::move(dump_or->tables);
-      return response;
-    }
-    case RpcType::kApplyDump:
-      return RpcResponse::FromStatus(
-          ApplyTableDump(engine.get(), request.db_name, request.dump));
     case RpcType::kListPrepared: {
       RpcResponse response;
       response.txn_ids = engine->PreparedTxnIds();
@@ -273,14 +261,11 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
       response.wal_lsn = frontier;
       return response;
     }
-    case RpcType::kWalDeltaApply: {
-      // Decode the whole delta before applying any of it: a malformed
-      // record leaves the engine untouched.
-      auto records = WriteAheadLog::DecodeRecords(request.lines);
-      if (!records.ok()) return RpcResponse::FromStatus(records.status());
+    case RpcType::kWalDeltaApply:
+      // A copy's dump records or a migration delta; a malformed record
+      // fails the call with the engine untouched.
       return RpcResponse::FromStatus(
-          WriteAheadLog::Replay(*records, engine.get()));
-    }
+          WriteAheadLog::ReplayEncoded(request.lines, engine.get()));
     case RpcType::kListTables: {
       Database* db = engine->GetDatabase(request.db_name);
       if (db == nullptr) {

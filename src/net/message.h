@@ -8,7 +8,6 @@
 
 #include "src/common/status.h"
 #include "src/sql/query_result.h"
-#include "src/storage/dump.h"
 #include "src/storage/value.h"
 
 namespace mtdb::net {
@@ -29,9 +28,8 @@ enum class RpcType : uint8_t {
   kHasDatabase = 10,   // catalog probe (recovery target selection)
   kExecuteDdl = 11,    // DDL statement, run outside client transactions
   kBulkLoad = 12,      // non-transactional bulk insert (setup / data gen)
-  kDumpTable = 13,     // copy-tool source side (Algorithm 1 recovery)
-  kDumpDatabase = 14,  // database-granularity dump
-  kApplyDump = 15,     // copy-tool target side: install one table dump
+  kDumpTable = 13,     // copy tool: one table ("*" = all) as WAL records
+  // 14 and 15 are retired; the codec rejects them.
   kListPrepared = 16,  // prepared txn ids (process-pair takeover)
   kListActive = 17,    // active txn ids (process-pair takeover)
   kListTables = 18,    // table names of one database (recovery work list)
@@ -40,9 +38,10 @@ enum class RpcType : uint8_t {
   kStats = 21,             // metrics dump (text exposition in the message)
   kSetQuota = 22,          // install a QoS quota for db_name on the machine
   kWalDeltaRead = 23,      // live migration: committed WAL delta since cursor
-  kWalDeltaApply = 24,     // live migration: replay delta records on target
+  kWalDeltaApply = 24,     // replay WAL records: a copy or a migration delta
 };
 
+// "?" for a number no type is assigned to.
 std::string_view RpcTypeName(RpcType type);
 
 // A decoded request. One struct covers every RpcType; unused fields stay at
@@ -58,8 +57,7 @@ struct RpcRequest {
   std::vector<Value> params;
   uint64_t stmt_handle = 0;       // kExecutePrepared
   std::vector<Row> rows;          // kBulkLoad
-  TableDump dump;                 // kApplyDump
-  int64_t per_row_delay_us = 0;   // kDumpTable / kDumpDatabase copy-cost model
+  int64_t per_row_delay_us = 0;   // kDumpTable copy-cost model
   // Test instrumentation: extra service delay applied before execution (the
   // controller's latency injector rides the wire so fault schedules stay
   // deterministic across transports).
@@ -81,7 +79,7 @@ struct RpcRequest {
   // only. Always on the wire, like read_only.
   uint64_t wal_cursor = 0;
   // kWalDeltaApply: encoded WAL records to replay (as returned by
-  // kWalDeltaRead), one opaque byte string each.
+  // kDumpTable or kWalDeltaRead), one opaque byte string each.
   std::vector<std::string> lines;
 };
 
@@ -91,9 +89,9 @@ struct RpcResponse {
   StatusCode code = StatusCode::kOk;
   std::string message;
   sql::QueryResult result;         // kExecute / kExecuteDdl
-  std::vector<TableDump> dumps;    // kDumpTable (one) / kDumpDatabase (all)
   std::vector<uint64_t> txn_ids;   // kListPrepared / kListActive
-  std::vector<std::string> names;  // kListTables
+  // kListTables; the encoded WAL records of kDumpTable and kWalDeltaRead.
+  std::vector<std::string> names;
   uint64_t stmt_handle = 0;        // kPrepareStatement
   // Service time measured machine-side (dispatch entry to reply), echoed to
   // the client so traces can split client-observed latency into transport
@@ -112,7 +110,6 @@ struct RpcResponse {
   // kWalDeltaRead: the source-WAL frontier (LSN of the last complete record)
   // the returned delta catches the caller up to; feed it back as the next
   // round's wal_cursor. 0 elsewhere. Always on the wire, like snapshot_ts.
-  // The delta records themselves travel in `names`.
   uint64_t wal_lsn = 0;
 
   bool ok() const { return code == StatusCode::kOk; }

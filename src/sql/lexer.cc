@@ -1,6 +1,8 @@
 #include "src/sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace mtdb::sql {
 
@@ -54,12 +56,16 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
       }
       token.text = sql.substr(start, i - start);
-      if (is_double) {
-        token.type = TokenType::kDoubleLiteral;
-        token.double_value = std::stod(token.text);
-      } else {
-        token.type = TokenType::kIntLiteral;
-        token.int_value = std::stoll(token.text);
+      token.type =
+          is_double ? TokenType::kDoubleLiteral : TokenType::kIntLiteral;
+      const char* first = token.text.data();
+      const char* last = first + token.text.size();
+      const std::from_chars_result parsed =
+          is_double ? std::from_chars(first, last, token.double_value)
+                    : std::from_chars(first, last, token.int_value);
+      if (parsed.ec != std::errc() || parsed.ptr != last) {
+        return Status::ParseError("numeric literal out of range at offset " +
+                                  std::to_string(token.position));
       }
     } else if (c == '\'') {
       ++i;

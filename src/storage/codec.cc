@@ -68,7 +68,9 @@ TableSchema ReadSchema(Cursor* in) {
   for (uint32_t i = 0; i < num_columns && in->ok(); ++i) {
     Column c;
     c.name = in->ReadString();
-    c.type = static_cast<ColumnType>(in->ReadU8());
+    const uint8_t type = in->ReadU8();
+    if (type > static_cast<uint8_t>(ColumnType::kString)) in->Fail();
+    c.type = static_cast<ColumnType>(type);
     c.not_null = in->ReadU8() != 0;
     columns.push_back(std::move(c));
   }
@@ -78,9 +80,11 @@ TableSchema ReadSchema(Cursor* in) {
   for (uint32_t i = 0; i < num_indexes && in->ok(); ++i) {
     std::string index_name = in->ReadString();
     int column_index = static_cast<int32_t>(in->ReadU32());
-    if (column_index >= 0 &&
-        column_index < static_cast<int>(schema.columns().size())) {
-      (void)schema.AddIndex(index_name, schema.columns()[column_index].name);
+    if (column_index < 0 ||
+        column_index >= static_cast<int>(schema.columns().size()) ||
+        !schema.AddIndex(index_name, schema.columns()[column_index].name)
+             .ok()) {
+      in->Fail();
     }
   }
   return schema;

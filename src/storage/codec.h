@@ -78,6 +78,8 @@ class Cursor {
   size_t remaining() const { return data_.size(); }
   // The bytes not consumed yet.
   std::string_view rest() const { return data_; }
+  // Marks the payload malformed, as a failed read would.
+  void Fail() { ok_ = false; }
 
   uint8_t ReadU8() {
     if (!Require(1)) return 0;
@@ -144,6 +146,8 @@ class Cursor {
 };
 
 Row ReadRow(Cursor* in);
+// Fails the cursor on a column type past kString, an index column out of
+// range, or an index the schema refuses.
 TableSchema ReadSchema(Cursor* in);
 
 }  // namespace mtdb::codec

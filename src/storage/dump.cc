@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 namespace mtdb {
 
@@ -16,7 +17,6 @@ TableDump SnapshotTable(Engine* source, const std::string& db_name,
   dump.schema = table->schema();
   for (auto& [pk, stored] : table->ScanAll()) {
     (void)pk;
-    dump.max_version = std::max(dump.max_version, stored.version);
     dump.rows.emplace_back(std::move(stored.values), stored.version);
     if (options.per_row_delay_us > 0) {
       std::this_thread::sleep_for(
@@ -42,15 +42,12 @@ Result<TableDump> DumpTable(Engine* source, const std::string& db_name,
   return dump;
 }
 
-Result<DatabaseDump> DumpDatabaseCoarse(Engine* source,
-                                        const std::string& db_name,
-                                        uint64_t dump_txn_id,
-                                        const DumpOptions& options) {
+Result<std::vector<TableDump>> DumpDatabaseCoarse(
+    Engine* source, const std::string& db_name, uint64_t dump_txn_id,
+    const DumpOptions& options) {
   Database* db = source->GetDatabase(db_name);
   if (db == nullptr) return Status::NotFound("database " + db_name);
   MTDB_RETURN_IF_ERROR(source->Begin(dump_txn_id));
-  DatabaseDump dump;
-  dump.database_name = db_name;
   // Acquire S locks on every table up front; hold them all until done.
   for (const std::string& table_name : db->TableNames()) {
     Status lock_status =
@@ -60,27 +57,50 @@ Result<DatabaseDump> DumpDatabaseCoarse(Engine* source,
       return lock_status;
     }
   }
+  std::vector<TableDump> dumps;
   for (const std::string& table_name : db->TableNames()) {
-    dump.tables.push_back(SnapshotTable(source, db_name, table_name, options));
+    dumps.push_back(SnapshotTable(source, db_name, table_name, options));
   }
   MTDB_RETURN_IF_ERROR(source->Commit(dump_txn_id));
-  return dump;
+  return dumps;
 }
 
-Status ApplyTableDump(Engine* target, const std::string& db_name,
-                      const TableDump& dump) {
-  if (!target->HasDatabase(db_name)) {
-    MTDB_RETURN_IF_ERROR(target->CreateDatabase(db_name));
+Result<std::vector<std::string>> DumpRecords(Engine* source,
+                                             const std::string& db_name,
+                                             const std::string& table_name,
+                                             uint64_t dump_txn_id,
+                                             const DumpOptions& options) {
+  std::vector<TableDump> dumps;
+  if (table_name == "*") {
+    MTDB_ASSIGN_OR_RETURN(
+        dumps, DumpDatabaseCoarse(source, db_name, dump_txn_id, options));
+  } else {
+    MTDB_ASSIGN_OR_RETURN(
+        TableDump dump,
+        DumpTable(source, db_name, table_name, dump_txn_id, options));
+    dumps.push_back(std::move(dump));
   }
-  MTDB_RETURN_IF_ERROR(target->CreateTable(db_name, dump.schema));
-  return target->BulkInsertVersioned(db_name, dump.schema.name(), dump.rows);
-}
-
-Status ApplyDatabaseDump(Engine* target, const DatabaseDump& dump) {
-  for (const TableDump& table_dump : dump.tables) {
-    MTDB_RETURN_IF_ERROR(ApplyTableDump(target, dump.database_name, table_dump));
+  std::vector<std::string> records;
+  for (TableDump& dump : dumps) {
+    const std::string table = dump.schema.name();
+    const int pk = dump.schema.primary_key_index();
+    records.push_back(WriteAheadLog::EncodeRecord(
+        {.type = WalRecordType::kCreateTable,
+         .database = db_name,
+         .schema = std::move(dump.schema)}));
+    // The source versions stay behind: the target assigns its own.
+    for (auto& [row, version] : dump.rows) {
+      (void)version;
+      records.push_back(WriteAheadLog::EncodeRecord(
+          {.type = WalRecordType::kInsert,
+           .txn_id = 0,
+           .database = db_name,
+           .table = table,
+           .primary_key = row[pk],
+           .row = std::move(row)}));
+    }
   }
-  return Status::OK();
+  return records;
 }
 
 }  // namespace mtdb

@@ -15,18 +15,13 @@ namespace mtdb {
 //
 // The crucial behaviour the correctness argument relies on: the tool obtains
 // a read (S) lock on the table, copies the contents, and releases the lock at
-// the end of the copy. Row versions are preserved so the new replica's
-// version history lines up with the source.
+// the end of the copy. The copy travels as redo-log records (DumpRecords)
+// and is applied by WriteAheadLog::Replay, the routine behind recovery and
+// migration deltas, so each copied row gets the target's own version.
 
 struct TableDump {
   TableSchema schema;
-  std::vector<std::pair<Row, uint64_t>> rows;  // (values, version)
-  uint64_t max_version = 0;
-};
-
-struct DatabaseDump {
-  std::string database_name;
-  std::vector<TableDump> tables;
+  std::vector<std::pair<Row, uint64_t>> rows;  // (values, source version)
 };
 
 struct DumpOptions {
@@ -44,19 +39,22 @@ Result<TableDump> DumpTable(Engine* source, const std::string& db_name,
 
 // Copies an entire database while holding S locks on *all* its tables for the
 // whole duration (database-granularity copying — the low-concurrency variant
-// compared in Figures 8/9).
-Result<DatabaseDump> DumpDatabaseCoarse(Engine* source,
-                                        const std::string& db_name,
-                                        uint64_t dump_txn_id,
-                                        const DumpOptions& options = {});
+// compared in Figures 8/9). One dump per table, in name order.
+Result<std::vector<TableDump>> DumpDatabaseCoarse(
+    Engine* source, const std::string& db_name, uint64_t dump_txn_id,
+    const DumpOptions& options = {});
 
-// Installs a dumped table on the target engine: creates the database if
-// needed, creates the table (with its indexes), and bulk-loads the rows with
-// their original versions. Fails if the table already exists on the target.
-Status ApplyTableDump(Engine* target, const std::string& db_name,
-                      const TableDump& dump);
-
-Status ApplyDatabaseDump(Engine* target, const DatabaseDump& dump);
+// The copy tool's output as encoded WAL records (WriteAheadLog::EncodeRecord):
+// for each table, its CREATE TABLE record (the schema carries its indexes)
+// and one pseudo-transaction-0 INSERT per row. `table_name` "*" dumps every
+// table under DumpDatabaseCoarse's locks, any other name just that table
+// under DumpTable's. The target needs the database and replays the records
+// with WriteAheadLog::Replay.
+Result<std::vector<std::string>> DumpRecords(Engine* source,
+                                             const std::string& db_name,
+                                             const std::string& table_name,
+                                             uint64_t dump_txn_id,
+                                             const DumpOptions& options = {});
 
 }  // namespace mtdb
 

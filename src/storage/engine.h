@@ -224,22 +224,19 @@ class Engine {
   Status LockTableShared(uint64_t txn_id, const std::string& db_name,
                          const std::string& table_name);
 
-  // --- Bulk, non-transactional load (setup / dump application only; caller
+  // --- Bulk, non-transactional load (setup and replay only; caller
   // guarantees no concurrent transactions touch the table). ---
   Status BulkInsert(const std::string& db_name, const std::string& table_name,
                     const std::vector<Row>& rows);
-  // Bulk load preserving explicit row versions (dump application).
-  Status BulkInsertVersioned(const std::string& db_name,
-                             const std::string& table_name,
-                             const std::vector<std::pair<Row, uint64_t>>& rows);
   // Applies one redo row image (kInsert / kUpdate / kDelete), validated
   // against the table's schema: WriteAheadLog::Replay's row step, for
-  // recovery and live-migration deltas alike. Upsert semantics: the same
+  // recovery, the copy tool's dump records and live-migration deltas alike.
+  // The row gets this table's next version. Upsert semantics: the same
   // committed transaction may be shipped by more than one catch-up round
   // only if the log is replayed from scratch, but an insert-then-update
   // chain within a round must land on whatever the bulk copy already
-  // installed. Like BulkInsertVersioned, never WAL-logged — the migrated
-  // replica re-seeds by re-copy on restart.
+  // installed. With a WAL the image is logged under pseudo-transaction 0,
+  // like BulkInsert, and enqueued only: Replay syncs once after the run.
   Status ApplyRedoRow(const std::string& db_name, const std::string& table_name,
                       WalRecordType type, const Value& primary_key,
                       const Row& row);

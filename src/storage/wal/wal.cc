@@ -28,6 +28,46 @@ bool IsRowOp(WalRecordType type) {
          type == WalRecordType::kDelete;
 }
 
+void AppendRowOpBody(std::string* out, uint64_t txn_id,
+                     const std::string& database, const std::string& table,
+                     const Value& primary_key, const Row& row) {
+  codec::AppendU64(out, txn_id);
+  codec::AppendString(out, database);
+  codec::AppendString(out, table);
+  primary_key.EncodeTo(out);
+  codec::AppendRow(out, row);
+}
+
+void AppendPayload(std::string* out, const WalRecord& record) {
+  codec::AppendU8(out, static_cast<uint8_t>(record.type));
+  switch (record.type) {
+    case WalRecordType::kCreateDatabase:
+      codec::AppendString(out, record.database);
+      break;
+    case WalRecordType::kCreateTable:
+      codec::AppendString(out, record.database);
+      codec::AppendSchema(out, record.schema);
+      break;
+    case WalRecordType::kCreateIndex:
+      codec::AppendString(out, record.database);
+      codec::AppendString(out, record.table);
+      codec::AppendString(out, record.index_name);
+      codec::AppendString(out, record.column_name);
+      break;
+    case WalRecordType::kInsert:
+    case WalRecordType::kUpdate:
+    case WalRecordType::kDelete:
+      AppendRowOpBody(out, record.txn_id, record.database, record.table,
+                      record.primary_key, record.row);
+      break;
+    case WalRecordType::kPrepare:
+    case WalRecordType::kCommit:
+    case WalRecordType::kAbort:
+      codec::AppendU64(out, record.txn_id);
+      break;
+  }
+}
+
 Result<WalRecord> DecodeRecord(std::string_view payload) {
   codec::Cursor in(payload);
   const uint8_t type = in.ReadU8();
@@ -129,15 +169,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
 Status WriteAheadLog::AppendDdl(const WalRecord& record) {
   std::string frame;
   const size_t start = codec::BeginFrame(&frame);
-  codec::AppendU8(&frame, static_cast<uint8_t>(record.type));
-  codec::AppendString(&frame, record.database);
-  if (record.type == WalRecordType::kCreateTable) {
-    codec::AppendSchema(&frame, record.schema);
-  } else if (record.type == WalRecordType::kCreateIndex) {
-    codec::AppendString(&frame, record.table);
-    codec::AppendString(&frame, record.index_name);
-    codec::AppendString(&frame, record.column_name);
-  }
+  AppendPayload(&frame, record);
   codec::EndFrame(&frame, start);
   MTDB_ASSIGN_OR_RETURN(uint64_t lsn, writer_->Append(std::move(frame)));
   (void)lsn;
@@ -158,11 +190,7 @@ Status WriteAheadLog::AppendRowOp(WalRecordType type, uint64_t txn_id,
   frame.reserve(size);
   const size_t start = codec::BeginFrame(&frame);
   codec::AppendU8(&frame, static_cast<uint8_t>(type));
-  codec::AppendU64(&frame, txn_id);
-  codec::AppendString(&frame, database);
-  codec::AppendString(&frame, table);
-  primary_key.EncodeTo(&frame);
-  codec::AppendRow(&frame, row);
+  AppendRowOpBody(&frame, txn_id, database, table, primary_key, row);
   codec::EndFrame(&frame, start);
   // Enqueue only: the decision record appended after this one has a higher
   // LSN, so awaiting the decision covers every row image of the txn.
@@ -223,7 +251,8 @@ Result<std::vector<std::string>> WriteAheadLog::ReadCommittedDeltaSince(
       case WalRecordType::kDelete: {
         if (record.database != database) break;
         if (record.txn_id == 0) {
-          // Bulk-load pseudo-transaction: implicitly committed at append.
+          // Pseudo-transaction 0 (bulk loads, replayed copies and deltas):
+          // implicitly committed at append.
           if (lsn > after_lsn) delta.push_back(std::move(payloads[i]));
           break;
         }
@@ -248,15 +277,10 @@ Result<std::vector<std::string>> WriteAheadLog::ReadCommittedDeltaSince(
   return delta;
 }
 
-Result<std::vector<WalRecord>> WriteAheadLog::DecodeRecords(
-    const std::vector<std::string>& encoded) {
-  std::vector<WalRecord> records;
-  records.reserve(encoded.size());
-  for (const std::string& payload : encoded) {
-    MTDB_ASSIGN_OR_RETURN(WalRecord record, DecodeRecord(payload));
-    records.push_back(std::move(record));
-  }
-  return records;
+std::string WriteAheadLog::EncodeRecord(const WalRecord& record) {
+  std::string payload;
+  AppendPayload(&payload, record);
+  return payload;
 }
 
 Status WriteAheadLog::Replay(const std::vector<WalRecord>& records,
@@ -290,14 +314,27 @@ Status WriteAheadLog::Replay(const std::vector<WalRecord>& records,
       return status;
     }
   }
-  return Status::OK();
+  // ApplyRedoRow only enqueued the row images: one barrier covers the run.
+  return engine->wal() != nullptr ? engine->wal()->Sync() : Status::OK();
+}
+
+Status WriteAheadLog::ReplayEncoded(const std::vector<std::string>& encoded,
+                                    Engine* engine) {
+  std::vector<WalRecord> records;
+  records.reserve(encoded.size());
+  for (const std::string& payload : encoded) {
+    MTDB_ASSIGN_OR_RETURN(WalRecord record, DecodeRecord(payload));
+    records.push_back(std::move(record));
+  }
+  return Replay(records, engine);
 }
 
 Status WriteAheadLog::Recover(const std::string& path, Engine* engine) {
   MTDB_ASSIGN_OR_RETURN(std::vector<WalRecord> records, ReadAll(path));
   // Winners: transactions with a COMMIT record. A PREPARE without a later
   // COMMIT is a loser (the coordinator never decided commit). Transaction
-  // id 0 is the bulk-load pseudo transaction and is always a winner.
+  // id 0 — bulk loads and replayed row images (copies, deltas) — is always
+  // a winner.
   std::map<uint64_t, bool> committed;
   committed[0] = true;
   for (const WalRecord& record : records) {

@@ -111,8 +111,9 @@ class WriteAheadLog {
   //   * row-op records of transactions whose COMMIT record has LSN >
   //     after_lsn — the op records themselves may be older (a transaction
   //     in flight when the previous round read the log), which is why the
-  //     filter keys on the decision LSN, not the op LSN. Bulk-load records
-  //     (pseudo-transaction 0, implicitly committed) key on their own LSN.
+  //     filter keys on the decision LSN, not the op LSN. Pseudo-transaction
+  //     0's records (bulk loads and replayed row images, implicitly
+  //     committed) key on their own LSN.
   // Aborted and still-undecided transactions are excluded, so the returned
   // records are unconditionally applicable on the target. `frontier`
   // receives the LSN of the last complete record; passing it back as the
@@ -122,18 +123,24 @@ class WriteAheadLog {
       const std::string& path, const std::string& database,
       uint64_t after_lsn, uint64_t* frontier);
 
-  // Decodes encoded records (as returned by ReadCommittedDeltaSince). Fails
-  // with kInvalidArgument if any record does not decode, so a caller can
-  // reject a whole delta before applying any of it.
-  static Result<std::vector<WalRecord>> DecodeRecords(
-      const std::vector<std::string>& encoded);
+  // One record's payload, the unframed form ReadCommittedDeltaSince returns
+  // and the copy tool's dump records (storage/dump.h) take.
+  static std::string EncodeRecord(const WalRecord& record);
 
   // Applies records in order: DDL through the engine's catalog calls (an
   // object that already exists is kept — a migration's bulk copy may have
   // created it), row images through Engine::ApplyRedoRow, which validates
   // them against the table's schema. Decision records are skipped: callers
-  // pass only the row images of committed transactions.
+  // pass only the row images of committed transactions. On an engine with
+  // a WAL the applied records are logged there (DDL by the catalog calls,
+  // row images under pseudo-transaction 0) and synced once at the end, so
+  // a copy, a migration delta or a recovery is durable on its target.
   static Status Replay(const std::vector<WalRecord>& records, Engine* engine);
+  // Replay of encoded records (a copy's dump records or a migration delta,
+  // as they arrive over the wire). Every record is decoded first: if any
+  // does not decode, fails with kInvalidArgument and applies nothing.
+  static Status ReplayEncoded(const std::vector<std::string>& encoded,
+                              Engine* engine);
 
   // Rebuilds engine state from a log: replays DDL and the row images of
   // committed transactions in log order. The engine must be fresh (no

@@ -5,6 +5,7 @@
 
 #include "src/cluster/cluster_controller.h"
 #include "src/cluster/recovery.h"
+#include "src/storage/dump.h"
 
 namespace mtdb {
 namespace {
@@ -298,11 +299,12 @@ TEST_F(ClusterTest, WritesToCopiedTableReachCopyTarget) {
   SetUpAccountsDb();
   // Manually install the table on the target, as the recovery process would.
   auto source = controller_->machine(controller_->ReplicasOf("bank")[0]);
-  auto dump = DumpTable(source->engine().get(), "bank", "accounts", 12345);
-  ASSERT_TRUE(dump.ok());
-  ASSERT_TRUE(ApplyTableDump(controller_->machine(2)->engine().get(), "bank",
-                             *dump)
-                  .ok());
+  auto records =
+      DumpRecords(source->engine().get(), "bank", "accounts", 12345);
+  ASSERT_TRUE(records.ok());
+  Engine* target = controller_->machine(2)->engine().get();
+  ASSERT_TRUE(target->CreateDatabase("bank").ok());
+  ASSERT_TRUE(WriteAheadLog::ReplayEncoded(*records, target).ok());
   ASSERT_TRUE(controller_->BeginCopy("bank", 2).ok());
   ASSERT_TRUE(controller_->MarkTableCopied("bank", "accounts").ok());
 

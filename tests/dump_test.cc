@@ -1,11 +1,18 @@
 // Unit tests for the database copy tool (the mysqldump equivalent), whose
-// locking behaviour underpins the Theorem 3 correctness argument.
+// locking behaviour underpins the Theorem 3 correctness argument, and for
+// its output: WAL records that WriteAheadLog::Replay installs (and logs) on
+// the target.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <thread>
 
+#include "src/cluster/recovery.h"
 #include "src/common/clock.h"
 #include "src/storage/dump.h"
 
@@ -44,7 +51,6 @@ TEST_F(DumpTest, TableDumpCapturesSchemaAndRows) {
   ASSERT_TRUE(dump.ok());
   EXPECT_EQ(dump->schema.name(), "alpha");
   EXPECT_EQ(dump->rows.size(), 6u);
-  EXPECT_GT(dump->max_version, 0u);
   // The dump transaction is gone (lock released).
   EXPECT_EQ(engine_->ActiveTxnCount(), 0u);
 }
@@ -64,30 +70,73 @@ TEST_F(DumpTest, MissingDatabaseFailsCleanly) {
 TEST_F(DumpTest, CoarseDumpCapturesAllTables) {
   auto dump = DumpDatabaseCoarse(engine_.get(), "db", 103);
   ASSERT_TRUE(dump.ok());
-  EXPECT_EQ(dump->database_name, "db");
-  ASSERT_EQ(dump->tables.size(), 2u);
-  EXPECT_EQ(dump->tables[0].schema.name(), "alpha");
-  EXPECT_EQ(dump->tables[1].schema.name(), "beta");
+  ASSERT_EQ(dump->size(), 2u);
+  EXPECT_EQ((*dump)[0].schema.name(), "alpha");
+  EXPECT_EQ((*dump)[1].schema.name(), "beta");
 }
 
+// The copy replayed onto an engine with a WAL is logged there: the target
+// holds the source's content, and so does an engine recovered from the
+// target's log alone.
 TEST_F(DumpTest, ApplyToTargetReproducesContent) {
-  auto dump = DumpDatabaseCoarse(engine_.get(), "db", 104);
-  ASSERT_TRUE(dump.ok());
-  Engine target("dst");
-  ASSERT_TRUE(ApplyDatabaseDump(&target, *dump).ok());
+  auto records = DumpRecords(engine_.get(), "db", "*", 104);
+  ASSERT_TRUE(records.ok());
+  // Per table: one CREATE TABLE record, then one INSERT per row.
+  EXPECT_EQ(records->size(), 2u * (1 + 6));
+  const std::string path = ::testing::TempDir() + "mtdb_dump_" +
+                           std::to_string(static_cast<long long>(getpid())) +
+                           ".wal";
+  std::remove(path.c_str());
+  EngineOptions options;
+  options.wal_path = path;
+  auto target = std::make_unique<Engine>("dst", options);
+  ASSERT_NE(target->wal(), nullptr);
+  ASSERT_TRUE(target->CreateDatabase("db").ok());
+  ASSERT_TRUE(WriteAheadLog::ReplayEncoded(*records, target.get()).ok());
+  Engine restarted("restarted");
+  ASSERT_TRUE(WriteAheadLog::Recover(path, &restarted).ok());
   for (const char* table : {"alpha", "beta"}) {
-    EXPECT_EQ(target.GetDatabase("db")->GetTable(table)->ContentFingerprint(),
-              engine_->GetDatabase("db")->GetTable(table)->ContentFingerprint());
+    const uint64_t expected =
+        engine_->GetDatabase("db")->GetTable(table)->ContentFingerprint();
+    EXPECT_EQ(target->GetDatabase("db")->GetTable(table)->ContentFingerprint(),
+              expected)
+        << table;
+    Table* recovered = restarted.GetDatabase("db")->GetTable(table);
+    ASSERT_NE(recovered, nullptr) << table;
+    EXPECT_EQ(recovered->row_count(), 6u) << table;
+    EXPECT_EQ(recovered->ContentFingerprint(), expected) << table;
   }
+  target.reset();
+  std::remove(path.c_str());
 }
 
+// The copy creates the database on its target, so a second copy onto a
+// machine that already hosts it fails instead of merging into it.
 TEST_F(DumpTest, ApplyTwiceFails) {
-  auto dump = DumpTable(engine_.get(), "db", "alpha", 105);
-  ASSERT_TRUE(dump.ok());
-  Engine target("dst");
-  ASSERT_TRUE(ApplyTableDump(&target, "db", *dump).ok());
-  EXPECT_EQ(ApplyTableDump(&target, "db", *dump).code(),
-            StatusCode::kAlreadyExists);
+  ClusterController controller;
+  for (int m = 0; m < 3; ++m) controller.AddMachine();
+  ASSERT_TRUE(controller.CreateDatabaseOn("db", {0}).ok());
+  ASSERT_TRUE(
+      controller.ExecuteDdl("db", "CREATE TABLE t (id INT PRIMARY KEY)").ok());
+  ASSERT_TRUE(controller.BulkLoad("db", "t", {{Value(int64_t{1})}}).ok());
+  for (CopyGranularity granularity :
+       {CopyGranularity::kTable, CopyGranularity::kDatabase}) {
+    ASSERT_TRUE(CopyReplica(&controller, "db", 0, 1, granularity,
+                            /*algorithm1=*/false, 0)
+                    .ok());
+    EXPECT_EQ(CopyReplica(&controller, "db", 0, 1, granularity,
+                          /*algorithm1=*/false, 0)
+                  .status()
+                  .code(),
+              StatusCode::kAlreadyExists);
+    EXPECT_EQ(controller.machine(1)
+                  ->engine()
+                  ->GetDatabase("db")
+                  ->GetTable("t")
+                  ->row_count(),
+              1u);
+    ASSERT_TRUE(controller.machine(1)->engine()->DropDatabase("db").ok());
+  }
 }
 
 TEST_F(DumpTest, DumpWaitsForWritersAndSeesTheirCommit) {
@@ -144,22 +193,29 @@ TEST_F(DumpTest, WritersBlockWhileDumpHoldsTheLock) {
   dumper.join();
 }
 
-TEST_F(DumpTest, VersionsSurviveTheCopy) {
-  // Versions carried by the dump keep per-object monotonicity intact on the
-  // new replica, which the serializability checker relies on.
-  auto dump = DumpTable(engine_.get(), "db", "alpha", 108);
-  ASSERT_TRUE(dump.ok());
+TEST_F(DumpTest, WriteAfterCopyGetsANewerVersion) {
+  // Copied rows take the target's own versions; a later write on the new
+  // replica must still get a version above every copied row there, which
+  // keeps per-object monotonicity for the serializability checker.
+  auto records = DumpRecords(engine_.get(), "db", "alpha", 108);
+  ASSERT_TRUE(records.ok());
   Engine target("dst");
-  ASSERT_TRUE(ApplyTableDump(&target, "db", *dump).ok());
+  ASSERT_TRUE(target.CreateDatabase("db").ok());
+  ASSERT_TRUE(WriteAheadLog::ReplayEncoded(*records, &target).ok());
   Table* copied = target.GetDatabase("db")->GetTable("alpha");
-  // A write on the new replica gets a version above everything copied.
+  uint64_t max_copied = 0;
+  for (auto& [pk, stored] : copied->ScanAll()) {
+    (void)pk;
+    max_copied = std::max(max_copied, stored.version);
+  }
+  ASSERT_GT(max_copied, 0u);
   ASSERT_TRUE(target.Begin(1).ok());
   ASSERT_TRUE(target
                   .Update(1, "db", "alpha", Value(int64_t{0}),
                           {Value(int64_t{0}), Value("newer")})
                   .ok());
   ASSERT_TRUE(target.Commit(1).ok());
-  EXPECT_GT(copied->Get(Value(int64_t{0}))->version, dump->max_version);
+  EXPECT_GT(copied->Get(Value(int64_t{0}))->version, max_copied);
 }
 
 }  // namespace

@@ -342,7 +342,8 @@ TEST_F(EngineTest, ConcurrentDisjointTransactions) {
   ASSERT_TRUE(engine_->Commit(check).ok());
 }
 
-TEST_F(EngineTest, DumpAndApplyPreservesContentAndVersions) {
+TEST_F(EngineTest, DumpAndReplayPreservesContent) {
+  ASSERT_TRUE(engine_->CreateIndex("shop", "items", "idx_name", "name").ok());
   ASSERT_TRUE(engine_
                   ->BulkInsert("shop", "items",
                                {ItemRow(1, "a", 1), ItemRow(2, "b", 2)})
@@ -351,13 +352,18 @@ TEST_F(EngineTest, DumpAndApplyPreservesContentAndVersions) {
   ASSERT_TRUE(dump.ok());
   EXPECT_EQ(dump->rows.size(), 2u);
 
+  auto records = DumpRecords(engine_.get(), "shop", "items", 778);
+  ASSERT_TRUE(records.ok());
   Engine target("site-b");
-  ASSERT_TRUE(ApplyTableDump(&target, "shop", *dump).ok());
+  ASSERT_TRUE(target.CreateDatabase("shop").ok());
+  ASSERT_TRUE(WriteAheadLog::ReplayEncoded(*records, &target).ok());
   Table* src = engine_->GetDatabase("shop")->GetTable("items");
   Table* dst = target.GetDatabase("shop")->GetTable("items");
   EXPECT_EQ(src->ContentFingerprint(), dst->ContentFingerprint());
-  EXPECT_EQ(dst->Get(Value(int64_t{1}))->version,
-            src->Get(Value(int64_t{1}))->version);
+  // The schema travels with its secondary index.
+  ASSERT_EQ(dst->schema().indexes().size(), 1u);
+  EXPECT_EQ(dst->schema().indexes()[0].name, "idx_name");
+  EXPECT_EQ(dst->IndexLookup(1, Value("b"))->size(), 1u);
 }
 
 TEST_F(EngineTest, DumpBlocksOnActiveWriter) {
@@ -393,10 +399,13 @@ TEST_F(EngineTest, DumpDatabaseCoarseLocksAllTables) {
       engine_->BulkInsert("shop", "orders", {{Value(int64_t{10})}}).ok());
   auto dump = DumpDatabaseCoarse(engine_.get(), "shop", 999);
   ASSERT_TRUE(dump.ok());
-  EXPECT_EQ(dump->tables.size(), 2u);
+  EXPECT_EQ(dump->size(), 2u);
 
+  auto records = DumpRecords(engine_.get(), "shop", "*", 1000);
+  ASSERT_TRUE(records.ok());
   Engine target("site-c");
-  ASSERT_TRUE(ApplyDatabaseDump(&target, *dump).ok());
+  ASSERT_TRUE(target.CreateDatabase("shop").ok());
+  ASSERT_TRUE(WriteAheadLog::ReplayEncoded(*records, &target).ok());
   EXPECT_EQ(target.GetDatabase("shop")->table_count(), 2u);
 }
 

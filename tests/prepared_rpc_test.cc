@@ -55,14 +55,14 @@ class PreparedRpcTest : public ::testing::Test {
   // controller is never told about (no FailMachine), so every cached
   // statement handle for these machines is stale.
   void RestartEngines(const std::vector<int>& machine_ids, int source) {
-    auto dump = DumpDatabaseCoarse(
-        controller_->machine(source)->engine().get(), "shop", 990'000);
-    ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+    auto records = DumpRecords(controller_->machine(source)->engine().get(),
+                               "shop", "*", 990'000);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
     for (int id : machine_ids) {
       controller_->machine(id)->Recover();
-      ASSERT_TRUE(
-          ApplyDatabaseDump(controller_->machine(id)->engine().get(), *dump)
-              .ok());
+      Engine* engine = controller_->machine(id)->engine().get();
+      ASSERT_TRUE(engine->CreateDatabase("shop").ok());
+      ASSERT_TRUE(WriteAheadLog::ReplayEncoded(*records, engine).ok());
     }
   }
 

@@ -28,6 +28,8 @@
 #include "src/net/inproc_transport.h"
 #include "src/net/message.h"
 #include "src/obs/load_monitor.h"
+#include "src/storage/dump.h"
+#include "src/storage/wal/wal.h"
 
 namespace mtdb {
 namespace {
@@ -326,15 +328,17 @@ TEST_F(RebalanceTest, DroppedDeltaRpcAbortsBackToSource) {
   constexpr int64_t kRows = 8;
   SetUpCounters("hot", /*machine=*/0, kRows);
 
-  // Lose every target-bound kWalDeltaApply: the first delta round that
-  // ships lines times out and the migration must abort from kDeltaCatchup.
-  // (Only target-bound RPCs are dropped — the controller's fail-stop model
-  // declares a machine that misses a deadline failed, and failing the
-  // single-replica *source* would be a machine failure, not a migration
-  // fault.)
+  // Lose every target-bound kWalDeltaApply after the bulk copy (which
+  // ships its dump records through the same RPC): the first delta round
+  // that ships lines times out and the migration must abort from
+  // kDeltaCatchup. (Only target-bound RPCs are dropped — the controller's
+  // fail-stop model declares a machine that misses a deadline failed, and
+  // failing the single-replica *source* would be a machine failure, not a
+  // migration fault.)
   controller_->inproc_transport()->SetFaultHook(
       [&](int, const net::RpcRequest& request) {
-        if (request.type == net::RpcType::kWalDeltaApply) {
+        if (request.type == net::RpcType::kWalDeltaApply &&
+            PhaseOf("hot") != rebalance::MigrationPhase::kBulkCopy) {
           return net::InProcTransport::Fault::kDropRequest;
         }
         return net::InProcTransport::Fault::kDeliver;
@@ -392,6 +396,60 @@ TEST_F(RebalanceTest, DroppedDeltaRpcAbortsBackToSource) {
     EXPECT_EQ(CounterValue(/*machine=*/1, "hot", id), commits[id].load())
         << "row " << id;
   }
+}
+
+// A migrated tenant survives a restart of its new machine: the bulk copy
+// and every delta round were logged in the target's WAL as they were
+// applied, so recovering that log alone gives back every row and every
+// committed increment. Only the lower half of the rows is written, during
+// the migration: the upper half comes back from the logged bulk copy
+// alone. The target never hosted the tenant before (drops are not logged,
+// so a returning tenant's old images would replay too).
+TEST_F(RebalanceTest, MigratedTenantSurvivesTargetRestartFromItsWal) {
+  BuildWal("durable", 2);
+  constexpr int64_t kRows = 8;
+  SetUpCounters("hot", /*machine=*/0, kRows);
+
+  std::atomic<bool> stop{false};
+  std::array<std::atomic<int64_t>, kRows> commits{};
+  std::thread writer([&] {
+    auto conn = controller_->Connect("hot");
+    int64_t iteration = 0;
+    while (!stop.load()) {
+      int64_t id = iteration++ % (kRows / 2);
+      if (conn->Execute("UPDATE counters SET v = v + 1 WHERE id = " +
+                        std::to_string(id))
+              .ok()) {
+        commits[id].fetch_add(1);
+      }
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  rebalance::MigratorOptions migrator_options;
+  migrator_options.per_row_delay_us = 500;  // writes land during the copy
+  rebalance::TenantMigrator migrator(controller_.get(), migrator_options);
+  Status migrated = migrator.Migrate(MakePlan("hot", 0, 1));
+  stop.store(true);
+  writer.join();
+  ASSERT_TRUE(migrated.ok()) << migrated.ToString();
+  ASSERT_EQ(controller_->ReplicasOf("hot"), std::vector<int>{1});
+
+  Engine restarted("restarted");
+  ASSERT_TRUE(WriteAheadLog::Recover(wal_paths_[1], &restarted).ok());
+  auto live = DumpTable(controller_->machine(1)->engine().get(), "hot",
+                        "counters", 990'001);
+  auto recovered = DumpTable(&restarted, "hot", "counters", 990'002);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_EQ(recovered->rows.size(), static_cast<size_t>(kRows));
+  int64_t total = 0;
+  for (int64_t id = 0; id < kRows; ++id) {
+    EXPECT_EQ(recovered->rows[id].first, live->rows[id].first) << "row " << id;
+    EXPECT_EQ(recovered->rows[id].first[1].AsInt(), commits[id].load())
+        << "row " << id;
+    total += commits[id].load();
+  }
+  EXPECT_GT(total, 0);
 }
 
 TEST_F(RebalanceTest, PartitionedTargetAbortsCleanly) {

@@ -2,9 +2,15 @@
 // end-to-end paths covered in cluster_controller_test.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/cluster/recovery.h"
+#include "src/storage/dump.h"
 
 namespace mtdb {
 namespace {
@@ -228,6 +234,67 @@ TEST_F(RecoveryTest, PromotedReplicaCarriesQuotaAndPlacementLoad) {
   // next database goes to 3 and 4.
   ASSERT_TRUE(controller_->CreateDatabase("b", 2).ok());
   EXPECT_EQ(controller_->ReplicasOf("b"), (std::vector<int>{3, 4}));
+}
+
+// A recovered replica is durable on its own: the copy was logged in the
+// target's WAL as it was applied, so recovering that log alone into a fresh
+// engine gives back every table with the source's rows. The targets never
+// hosted the tenant before (drops are not logged, so a returning tenant's
+// old images would replay too).
+TEST_F(RecoveryTest, RecoveredReplicaSurvivesARestartFromItsWal) {
+  for (CopyGranularity granularity :
+       {CopyGranularity::kTable, CopyGranularity::kDatabase}) {
+    const std::string tag =
+        granularity == CopyGranularity::kTable ? "table" : "database";
+    std::vector<std::string> wal_paths;
+    controller_ = std::make_unique<ClusterController>();
+    for (int m = 0; m < 3; ++m) {
+      MachineOptions options;
+      options.engine_options.wal_path =
+          ::testing::TempDir() + "mtdb_recovery_" + tag + "_" +
+          std::to_string(static_cast<long long>(getpid())) + "_" +
+          std::to_string(m) + ".wal";
+      std::remove(options.engine_options.wal_path.c_str());
+      wal_paths.push_back(options.engine_options.wal_path);
+      controller_->AddMachine(options);
+    }
+    MakeDb("db", /*tables=*/3, /*rows=*/5);
+    std::vector<int> replicas = controller_->ReplicasOf("db");
+    ASSERT_EQ(replicas, (std::vector<int>{0, 1})) << tag;
+    controller_->FailMachine(0);
+    RecoveryOptions options;
+    options.granularity = granularity;
+    RecoveryManager recovery(controller_.get(), options);
+    auto results = recovery.RecoverAll(2);
+    ASSERT_EQ(results.size(), 1u) << tag;
+    ASSERT_TRUE(results[0].status.ok())
+        << tag << ": " << results[0].status.ToString();
+    ASSERT_EQ(results[0].target_machine, 2) << tag;
+    // A write after the copy reaches both replicas and both logs.
+    ASSERT_TRUE(controller_->Connect("db")
+                    ->Execute("UPDATE t1 SET v = 7 WHERE id = 3")
+                    .ok())
+        << tag;
+
+    Engine restarted("restarted");
+    ASSERT_TRUE(WriteAheadLog::Recover(wal_paths[2], &restarted).ok()) << tag;
+    Engine* source = controller_->machine(1)->engine().get();
+    for (int t = 0; t < 3; ++t) {
+      const std::string table = "t" + std::to_string(t);
+      auto expected = DumpTable(source, "db", table, 900'000 + t);
+      auto recovered = DumpTable(&restarted, "db", table, 900'010 + t);
+      ASSERT_TRUE(expected.ok()) << tag << " " << table;
+      ASSERT_TRUE(recovered.ok())
+          << tag << " " << table << ": " << recovered.status().ToString();
+      ASSERT_EQ(recovered->rows.size(), 5u) << tag << " " << table;
+      for (size_t r = 0; r < expected->rows.size(); ++r) {
+        EXPECT_EQ(recovered->rows[r].first, expected->rows[r].first)
+            << tag << " " << table << " row " << r;
+      }
+    }
+    controller_.reset();
+    for (const std::string& path : wal_paths) std::remove(path.c_str());
+  }
 }
 
 }  // namespace

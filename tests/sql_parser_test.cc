@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "src/sql/lexer.h"
 #include "src/sql/parser.h"
 
@@ -34,6 +37,26 @@ TEST(LexerTest, StringLiteralWithEscapedQuote) {
 
 TEST(LexerTest, UnterminatedStringFails) {
   EXPECT_EQ(Tokenize("'oops").status().code(), StatusCode::kParseError);
+}
+
+// Literals arrive from clients and over the wire: one that does not fit its
+// type is a parse error, never an exception that ends the process.
+TEST(LexerTest, OutOfRangeIntLiteralFails) {
+  auto tokens = Tokenize("SELECT 99999999999999999999999;");
+  EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(Parse("SELECT 99999999999999999999999;").status().code(),
+            StatusCode::kParseError);
+  // The largest int64 still lexes.
+  auto max = Tokenize("9223372036854775807");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ((*max)[0].int_value, INT64_MAX);
+}
+
+TEST(LexerTest, OutOfRangeDoubleLiteralFails) {
+  const std::string huge = std::string(400, '9') + ".5";
+  EXPECT_EQ(Tokenize("SELECT " + huge).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(Tokenize(huge).status().code(), StatusCode::kParseError);
 }
 
 TEST(LexerTest, TwoCharOperators) {

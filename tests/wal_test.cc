@@ -6,6 +6,7 @@
 #include <functional>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/machine.h"
@@ -467,9 +468,33 @@ TEST_F(WalTest, EveryTruncationRecoversACommittedPrefix) {
   EXPECT_EQ(last_match, states.size() - 1);
 }
 
-// kWalDeltaApply carries records from the network: a delta with one
-// malformed record is refused whole, before anything is applied, instead of
-// crashing the machine.
+// A CREATE TABLE payload for "db": one column "id" of raw type byte
+// `column_type` (the primary key), then the given (name, column) indexes.
+std::string CreateTablePayload(
+    uint8_t column_type,
+    const std::vector<std::pair<std::string, uint32_t>>& indexes) {
+  std::string out;
+  codec::AppendU8(&out, static_cast<uint8_t>(WalRecordType::kCreateTable));
+  codec::AppendString(&out, "db");
+  codec::AppendString(&out, "bad");
+  codec::AppendU32(&out, 1);
+  codec::AppendString(&out, "id");
+  codec::AppendU8(&out, column_type);
+  codec::AppendU8(&out, 1);
+  codec::AppendU32(&out, 0);
+  codec::AppendU32(&out, static_cast<uint32_t>(indexes.size()));
+  for (const auto& [name, column] : indexes) {
+    codec::AppendString(&out, name);
+    codec::AppendU32(&out, column);
+  }
+  return out;
+}
+
+// kWalDeltaApply carries records from the network (copies and migration
+// deltas): a run with one malformed record — garbage, or a schema with an
+// unknown column type, an index on a missing column, or an index the schema
+// refuses — is refused whole, before anything is applied, instead of
+// crashing the machine or installing a table it cannot serve.
 TEST_F(WalTest, DeltaApplyRefusesMalformedRecordWithoutApplying) {
   {
     Engine engine("site", WalOptions());
@@ -493,15 +518,26 @@ TEST_F(WalTest, DeltaApplyRefusesMalformedRecordWithoutApplying) {
   request.db_name = "db";
   for (const std::string& garbage :
        {std::string("INS\x1f" "1\x1f" "db\x1f" "t\x1f" "Ixyz"),
-        std::string("CMT\x1f" "zz"), std::string()}) {
+        std::string("CMT\x1f" "zz"), std::string(),
+        CreateTablePayload(9, {}), CreateTablePayload(0, {{"by_x", 5}}),
+        CreateTablePayload(0, {{"twice", 0}, {"twice", 0}})}) {
     request.lines = *delta;
     request.lines.push_back(garbage);
     net::RpcResponse response = service.Dispatch(request);
     EXPECT_EQ(response.code, StatusCode::kInvalidArgument) << response.message;
     EXPECT_FALSE(machine.engine()->HasDatabase("db"));
   }
+  // The same payload with a valid type and index is accepted.
   request.lines = *delta;
+  request.lines.push_back(CreateTablePayload(0, {{"by_id", 0}}));
   ASSERT_TRUE(service.Dispatch(request).ok());
+  EXPECT_EQ(machine.engine()
+                ->GetDatabase("db")
+                ->GetTable("bad")
+                ->schema()
+                .indexes()
+                .size(),
+            1u);
   Table* items = machine.engine()->GetDatabase("db")->GetTable("items");
   ASSERT_NE(items, nullptr);
   EXPECT_EQ(items->row_count(), 1u);

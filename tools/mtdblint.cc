@@ -1,6 +1,6 @@
 // mtdblint: project-rule checker for the mtdb tree.
 //
-// Nine rules, each encoding a convention the compiler cannot see:
+// Ten rules, each encoding a convention the compiler cannot see:
 //
 //   raw-mutex        Outside src/platform, code must lock through the
 //                    annotated platform::Mutex/Guard vocabulary — a raw
@@ -82,6 +82,15 @@
 //                    now has its own StatusCode::kUnknownHandle). Give the
 //                    condition a code instead, or add
 //                    `mtdblint: allow(status-text)` with a justification.
+//
+//   throwing-conversion
+//                    In src/ and tools/, no std::sto* (stoi, stoll, stod,
+//                    ...): they throw on out-of-range or malformed text, and
+//                    the text they convert comes from SQL clients, the
+//                    wire or the command line, so one bad literal ended the
+//                    process. Use std::from_chars and turn its error code
+//                    into a Status. Escape:
+//                    `mtdblint: allow(throwing-conversion)`.
 //
 // Usage: mtdblint [repo-root]   (default: current directory)
 // Exit status: 0 clean, 1 findings, 2 usage/environment error.
@@ -237,6 +246,11 @@ bool AssignsMigrationState(const std::string& code) {
 
 bool InSrc(const std::string& rel) { return rel.rfind("src/", 0) == 0; }
 
+bool InTools(const std::string& rel) { return rel.rfind("tools/", 0) == 0; }
+
+// A throwing string-to-number conversion (rule throwing-conversion).
+const std::regex kThrowingConversionRe(R"(\bstd::sto[dfilu]+\b)");
+
 // A branch on a Status's message text (rule status-text).
 const std::regex kStatusTextRe(R"(\.message\(\)\s*(\.find\(|[=!]=))");
 
@@ -380,6 +394,16 @@ void CheckFile(const fs::path& root, const fs::path& path) {
              "branch on a Status's message text: messages are for humans "
              "and change freely; branch on status.code() (add a StatusCode "
              "if none fits) or add `mtdblint: allow(status-text)` with a "
+             "justification");
+    }
+
+    if (!self && (InSrc(rel) || InTools(rel)) &&
+        std::regex_search(code, kThrowingConversionRe) &&
+        !HasEscape(lines, i, "throwing-conversion")) {
+      Report(rel, lineno, "throwing-conversion",
+             "std::sto* throws on out-of-range or malformed text and ends "
+             "the process; parse with std::from_chars and return a Status, "
+             "or add `mtdblint: allow(throwing-conversion)` with a "
              "justification");
     }
 
