@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <optional>
 #include <thread>
 
@@ -64,17 +63,6 @@ struct CallBarrier {
     while (outstanding > 0) cv.Wait(lock);
   }
 };
-
-// Sends one request through `issue` and waits for its reply.
-template <typename Issue>
-net::RpcResponse AwaitReply(Issue issue) {
-  auto done = std::make_shared<std::promise<net::RpcResponse>>();
-  auto future = done->get_future();
-  issue([done](net::RpcResponse response) {
-    done->set_value(std::move(response));
-  });
-  return future.get();
-}
 
 // Whether an execute that carried the transaction's begin left the
 // transaction running on the machine. A stale handle, a throttled admission
@@ -1036,7 +1024,7 @@ Status Connection::EnsureBegun(int machine_id) {
   // Synchronous: an op must not be queued behind a Begin that may be
   // bounced.
   net::RpcResponse response = RetryThrottled([&] {
-    return AwaitReply([&](net::ResponseHandler done) {
+    return net::AwaitReply([&](net::ResponseHandler done) {
       SessionFor(machine_id)
           ->BeginAsync(txn_id_, db_name_, /*read_only=*/false,
                        std::move(done));
@@ -1155,7 +1143,7 @@ Result<sql::QueryResult> Connection::ExecuteRead(
       int64_t inject =
           controller_->InjectedLatency(label_, /*is_write=*/false, machine_id);
       net::RpcResponse response = RetryThrottled([&] {
-        return AwaitReply([&](net::ResponseHandler done) {
+        return net::AwaitReply([&](net::ResponseHandler done) {
           SessionFor(machine_id)
               ->ExecuteAsync(txn_id_, db_name_, *wire, params, inject,
                              std::move(done), start);

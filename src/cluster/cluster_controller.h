@@ -260,8 +260,7 @@ class Connection {
   catalog::TenantCatalog::TenantRef tenant_ref_;
   std::set<int> begun_machines_;
   // One RPC session (= ordered channel) per machine this connection talks
-  // to — the strand-per-(connection,machine) of the pre-RPC controller,
-  // now owned by the transport layer.
+  // to: the machine runs this connection's requests in submission order.
   std::map<int, std::unique_ptr<net::MachineClient::Session>> sessions_;
   std::vector<std::shared_ptr<PendingWrite>> outstanding_;
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/net/transport.h"
 #include "src/platform/mutex.h"
@@ -17,9 +18,18 @@ namespace mtdb::net {
 // Deterministic in-process transport. Every Call still runs the full
 // marshalling round trip (encode request -> decode request -> dispatch ->
 // encode response -> decode response), so the wire codec is exercised by
-// every cluster test, but delivery is a function call on a per-channel
-// strand — the same FIFO-per-(connection,machine) ordering a dedicated TCP
-// connection provides, with none of the scheduling nondeterminism.
+// every cluster test, but delivery is a function call on a pooled worker.
+//
+// Each channel is a FIFO queue of calls: the first call queued on an idle
+// channel hands the channel to the transport's most recently idle worker
+// (the pool starts a worker only when none is idle), which delivers the
+// channel's calls in order — the same FIFO-per-(connection,machine)
+// ordering a dedicated TCP connection provides. Once the queue is empty the
+// worker waits a fixed ~2 ms for the channel's next call, then returns to
+// the pool. A call that blocks (a lock wait, a fair-queue wait, a latency
+// hook) holds only its own channel's worker, so channels never delay one
+// another, and the thread count follows the channels busy at once, not the
+// channels open.
 //
 // Fault injection:
 //  * SetFaultHook decides per request whether to deliver it, drop it before
@@ -29,7 +39,7 @@ namespace mtdb::net {
 //  * SetLatencyHook adds per-request delivery delay.
 //  * PartitionMachine makes a machine unreachable (every call times out at
 //    the client) until HealMachine.
-// Hooks run inside the channel's strand, after the request is already
+// Hooks run on the channel's worker, after the request is already
 // serialized, so they see exactly what would have hit the wire.
 class InProcTransport : public Transport {
  public:
@@ -43,7 +53,9 @@ class InProcTransport : public Transport {
   using LatencyHook =
       std::function<int64_t(int machine_id, const RpcRequest&)>;
 
-  InProcTransport() = default;
+  InProcTransport();
+  // Joins the pool. Every channel must be closed first.
+  ~InProcTransport() override;
 
   std::unique_ptr<Channel> OpenChannel(int machine_id) override;
   void AttachLocal(int machine_id, MachineService* service) override;
@@ -65,10 +77,23 @@ class InProcTransport : public Transport {
 
  private:
   class InProcChannel;
+  struct Queue;
+  struct Worker;
 
-  // Returns kDeliver/kDropRequest/kDropReply for this request, folding in
-  // partitions. Looks up the service; null means unreachable.
+  // Hands a channel's queue to the most recently idle worker, starting
+  // one when none is idle.
+  void Dispatch(std::shared_ptr<Queue> queue);
+  void WorkerLoop(Worker* self);
+  // Delivers the queue's calls in order until it stays empty for the
+  // linger time.
+  void Serve(Queue& queue);
+  void Deliver(int machine_id, const std::string& frame,
+               ResponseHandler handler);
+
+  // Looks up the service; null means unreachable.
   MachineService* Lookup(int machine_id) const;
+  // Returns kDeliver/kDropRequest/kDropReply for this request, folding in
+  // partitions.
   Fault EvaluateFault(int machine_id, const RpcRequest& request) const;
   int64_t EvaluateLatency(int machine_id, const RpcRequest& request) const;
 
@@ -78,6 +103,11 @@ class InProcTransport : public Transport {
   FaultHook fault_hook_ MTDB_GUARDED_BY(mu_);
   LatencyHook latency_hook_ MTDB_GUARDED_BY(mu_);
   std::atomic<int64_t> delivered_{0};
+
+  platform::Mutex pool_mu_{"net/InProcTransport::pool_mu"};
+  std::vector<std::unique_ptr<Worker>> workers_ MTDB_GUARDED_BY(pool_mu_);
+  std::vector<Worker*> idle_ MTDB_GUARDED_BY(pool_mu_);  // most recent last
+  bool stopping_ MTDB_GUARDED_BY(pool_mu_) = false;
 };
 
 }  // namespace mtdb::net

@@ -1,6 +1,5 @@
 #include "src/net/machine_client.h"
 
-#include <future>
 #include <utility>
 
 #include "src/common/clock.h"
@@ -57,8 +56,8 @@ MachineClient::~MachineClient() {
   }
   watchdog_cv_.NotifyAll();
   if (watchdog_.joinable()) watchdog_.join();
-  // Control channels (and their transport threads) die before the transport:
-  // the member order takes care of it, this is just explicit.
+  // Control channels close before the transport: the member order takes
+  // care of it, this is just explicit.
   control_channels_.clear();
 }
 
@@ -164,18 +163,6 @@ Channel* MachineClient::ControlChannel(int machine_id) {
              .first;
   }
   return it->second.get();
-}
-
-void MachineClient::ResetControlChannel(int machine_id) {
-  std::unique_ptr<Channel> dropped;
-  {
-    platform::Guard lock(mu_);
-    auto it = control_channels_.find(machine_id);
-    if (it == control_channels_.end()) return;
-    dropped = std::move(it->second);
-    control_channels_.erase(it);
-  }
-  // Destroyed outside mu_: channel teardown joins transport threads.
 }
 
 RpcResponse MachineClient::ControlCall(int machine_id,
@@ -414,13 +401,9 @@ size_t MachineClient::ArmedDeadlineCount() const {
 
 RpcResponse MachineClient::CallSync(Channel* channel, int machine_id,
                                     const RpcRequest& request) {
-  auto done = std::make_shared<std::promise<RpcResponse>>();
-  auto future = done->get_future();
-  CallWithDeadline(channel, machine_id, request,
-                   [done](RpcResponse response) {
-                     done->set_value(std::move(response));
-                   });
-  return future.get();
+  return AwaitReply([&](ResponseHandler done) {
+    CallWithDeadline(channel, machine_id, request, std::move(done));
+  });
 }
 
 void MachineClient::WatchdogLoop() {
@@ -466,10 +449,12 @@ void MachineClient::WatchdogLoop() {
         span.code = StatusCode::kUnavailable;
         obs::TraceCollector::Global().RecordSpan(span);
       }
+      // The machine counts as failed before the caller hears kUnavailable,
+      // so a caller that reacts to the timeout already sees the failure.
+      OnTimeout(machine_id);
       handler(RpcResponse::FromStatus(Status::Unavailable(
           "rpc deadline exceeded (machine " + std::to_string(machine_id) +
           ")")));
-      OnTimeout(machine_id);
     }
     lock.lock();
   }

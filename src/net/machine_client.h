@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -40,6 +41,17 @@ struct StatementOnWire {
 // Begin piggybacked on the request (QoS admission included), in read-write
 // or read-only snapshot mode.
 enum class TxnStart : uint8_t { kBegun, kBegin, kBeginReadOnly };
+
+// The one synchronous wait on an RPC: calls `issue` with a handler, which
+// it must pass on to a call that completes exactly once (every
+// MachineClient call does), and blocks until the reply arrives.
+template <typename Issue>
+RpcResponse AwaitReply(Issue&& issue) {
+  auto done = std::make_shared<std::promise<RpcResponse>>();
+  auto reply = done->get_future();
+  issue([done](RpcResponse response) { done->set_value(std::move(response)); });
+  return reply.get();
+}
 
 // The controller's client stub for talking to machines. Everything the
 // cluster controller wants from a machine goes through here as an RPC; this
@@ -176,10 +188,6 @@ class MachineClient {
   // WalDeltaRead against the same database.
   Status WalDeltaApply(int machine_id, const std::string& db_name,
                        const std::vector<std::string>& lines);
-
-  // Drops the cached control channel to one machine (e.g. after it was
-  // recovered into a new process); the next control call reconnects.
-  void ResetControlChannel(int machine_id);
 
   // Deadlines currently armed: one per call still waiting for its reply or
   // its expiry. Test hook.

@@ -14,7 +14,8 @@ namespace mtdb::net {
 // RpcResponse by dispatching onto the Machine's engine through the existing
 // semaphore/latency machinery. Stateless across requests — statement caching
 // lives in the engine's plan cache (Engine::GetPlan), so any transport
-// (in-process strand, TCP connection thread) can call Dispatch concurrently.
+// (in-process pool worker, TCP connection thread) can call Dispatch
+// concurrently.
 class MachineService {
  public:
   explicit MachineService(Machine* machine);

@@ -25,7 +25,7 @@ std::vector<HeldEntry>& TlsHeldStack() {
 }  // namespace
 
 LockOrderGraph& LockOrderGraph::Global() {
-  // Intentionally leaked: worker threads (strands) may still be locking
+  // Intentionally leaked: worker threads may still be locking
   // instrumented mutexes during static destruction at process exit.
   static LockOrderGraph* graph = new LockOrderGraph();
   return *graph;

@@ -139,7 +139,9 @@ Status Engine::DropDatabase(const std::string& db_name) {
     SetGauge(m_mvcc_versions_, versions_.live_versions());
   }
   BumpSchemaVersion(db_name);
-  return Status::OK();
+  if (wal_ == nullptr) return Status::OK();
+  return wal_->AppendDdl(
+      {.type = WalRecordType::kDropDatabase, .database = db_name});
 }
 
 bool Engine::HasDatabase(const std::string& db_name) const {
@@ -191,9 +193,6 @@ Status Engine::CreateIndex(const std::string& db_name,
 
 Status Engine::DropTable(const std::string& db_name,
                          const std::string& table_name) {
-  // Like DropDatabase, drops are not WAL-logged (no drop record types); a
-  // recovered engine may resurrect a dropped table, which the re-copy path
-  // overwrites anyway.
   Database* db = GetDatabase(db_name);
   if (db == nullptr) return Status::NotFound("database " + db_name);
   MTDB_RETURN_IF_ERROR(db->DropTable(table_name));
@@ -201,7 +200,10 @@ Status Engine::DropTable(const std::string& db_name,
     SetGauge(m_mvcc_versions_, versions_.live_versions());
   }
   BumpSchemaVersion(db_name);
-  return Status::OK();
+  if (wal_ == nullptr) return Status::OK();
+  return wal_->AppendDdl({.type = WalRecordType::kDropTable,
+                          .database = db_name,
+                          .table = table_name});
 }
 
 // --- SQL planning & prepared statements ---

@@ -18,6 +18,8 @@ namespace {
 //   kCreateDatabase := str database
 //   kCreateTable    := str database | schema
 //   kCreateIndex    := str database | str table | str index | str column
+//   kDropDatabase   := str database
+//   kDropTable      := str database | str table
 //   row ops         := u64 txn | str database | str table | value pk | row
 //   decisions       := u64 txn
 //
@@ -42,7 +44,12 @@ void AppendPayload(std::string* out, const WalRecord& record) {
   codec::AppendU8(out, static_cast<uint8_t>(record.type));
   switch (record.type) {
     case WalRecordType::kCreateDatabase:
+    case WalRecordType::kDropDatabase:
       codec::AppendString(out, record.database);
+      break;
+    case WalRecordType::kDropTable:
+      codec::AppendString(out, record.database);
+      codec::AppendString(out, record.table);
       break;
     case WalRecordType::kCreateTable:
       codec::AppendString(out, record.database);
@@ -71,7 +78,7 @@ void AppendPayload(std::string* out, const WalRecord& record) {
 Result<WalRecord> DecodeRecord(std::string_view payload) {
   codec::Cursor in(payload);
   const uint8_t type = in.ReadU8();
-  if (type > static_cast<uint8_t>(WalRecordType::kAbort)) {
+  if (type > static_cast<uint8_t>(WalRecordType::kDropTable)) {
     return Status::InvalidArgument("unknown WAL record type " +
                                    std::to_string(type));
   }
@@ -79,7 +86,12 @@ Result<WalRecord> DecodeRecord(std::string_view payload) {
   record.type = static_cast<WalRecordType>(type);
   switch (record.type) {
     case WalRecordType::kCreateDatabase:
+    case WalRecordType::kDropDatabase:
       record.database = in.ReadString();
+      break;
+    case WalRecordType::kDropTable:
+      record.database = in.ReadString();
+      record.table = in.ReadString();
       break;
     case WalRecordType::kCreateTable:
       record.database = in.ReadString();
@@ -241,6 +253,8 @@ Result<std::vector<std::string>> WriteAheadLog::ReadCommittedDeltaSince(
       case WalRecordType::kCreateDatabase:
       case WalRecordType::kCreateTable:
       case WalRecordType::kCreateIndex:
+      case WalRecordType::kDropDatabase:
+      case WalRecordType::kDropTable:
         // DDL is decision-free (synced immediately): keyed on its own LSN.
         if (record.database == database && lsn > after_lsn) {
           delta.push_back(std::move(payloads[i]));
@@ -287,6 +301,9 @@ Status WriteAheadLog::Replay(const std::vector<WalRecord>& records,
                              Engine* engine) {
   for (const WalRecord& record : records) {
     Status status;
+    // The state the record leads to may already hold: an object a
+    // migration's bulk copy created, or one a drop already removed.
+    StatusCode already = StatusCode::kAlreadyExists;
     switch (record.type) {
       case WalRecordType::kCreateDatabase:
         status = engine->CreateDatabase(record.database);
@@ -305,14 +322,20 @@ Status WriteAheadLog::Replay(const std::vector<WalRecord>& records,
                                       record.type, record.primary_key,
                                       record.row);
         break;
+      case WalRecordType::kDropDatabase:
+        status = engine->DropDatabase(record.database);
+        already = StatusCode::kNotFound;
+        break;
+      case WalRecordType::kDropTable:
+        status = engine->DropTable(record.database, record.table);
+        already = StatusCode::kNotFound;
+        break;
       case WalRecordType::kPrepare:
       case WalRecordType::kCommit:
       case WalRecordType::kAbort:
         break;
     }
-    if (!status.ok() && status.code() != StatusCode::kAlreadyExists) {
-      return status;
-    }
+    if (!status.ok() && status.code() != already) return status;
   }
   // ApplyRedoRow only enqueued the row images: one barrier covers the run.
   return engine->wal() != nullptr ? engine->wal()->Sync() : Status::OK();

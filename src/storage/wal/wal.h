@@ -26,6 +26,8 @@ enum class WalRecordType {
   kPrepare,
   kCommit,
   kAbort,
+  kDropDatabase,
+  kDropTable,
 };
 
 // One log record. Field usage depends on the type. (Members without another
@@ -35,7 +37,7 @@ struct WalRecord {
   WalRecordType type = WalRecordType::kCommit;
   uint64_t txn_id = 0;        // row ops, prepare, commit, abort
   std::string database{};     // DDL, row ops
-  std::string table{};        // kCreateIndex, row ops
+  std::string table{};        // kCreateIndex, kDropTable, row ops
   TableSchema schema{};       // kCreateTable
   std::string index_name{};   // kCreateIndex
   std::string column_name{};  // kCreateIndex
@@ -74,7 +76,7 @@ class WriteAheadLog {
   const std::string& path() const { return writer_->path(); }
 
   // DDL is rare and structural: appended and synced before returning,
-  // regardless of policy. `record` is a kCreate* record.
+  // regardless of policy. `record` is a kCreate* or kDrop* record.
   Status AppendDdl(const WalRecord& record);
   // Row after-images are enqueued without waiting; the decision record that
   // follows them (same LSN order) carries their durability.
@@ -107,7 +109,8 @@ class WriteAheadLog {
   // Live-migration delta read. Returns, in log order, the encoded records a
   // migration target must replay to catch `database` up past the
   // `after_lsn` frontier:
-  //   * DDL records for the database with LSN > after_lsn, and
+  //   * DDL records (creates and drops) for the database with LSN >
+  //     after_lsn, and
   //   * row-op records of transactions whose COMMIT record has LSN >
   //     after_lsn — the op records themselves may be older (a transaction
   //     in flight when the previous round read the log), which is why the
@@ -129,8 +132,9 @@ class WriteAheadLog {
 
   // Applies records in order: DDL through the engine's catalog calls (an
   // object that already exists is kept — a migration's bulk copy may have
-  // created it), row images through Engine::ApplyRedoRow, which validates
-  // them against the table's schema. Decision records are skipped: callers
+  // created it — and a drop of an object already gone is a no-op), row
+  // images through Engine::ApplyRedoRow, which validates them against the
+  // table's schema. Decision records are skipped: callers
   // pass only the row images of committed transactions. On an engine with
   // a WAL the applied records are logged there (DDL by the catalog calls,
   // row images under pseudo-transaction 0) and synced once at the end, so

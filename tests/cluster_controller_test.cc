@@ -390,7 +390,7 @@ TEST_F(ClusterTest, WritesDuringRecoveryEitherApplyEverywhereOrReject) {
       }
     }
   });
-  // Wait until the writer is warmed up (connections and strands built, at
+  // Wait until the writer is warmed up (connections and channels built, at
   // least one commit through) before opening the copy window, so the window
   // is guaranteed to overlap live writes even on a loaded host.
   while (committed.load() == 0) {

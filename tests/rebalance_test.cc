@@ -403,8 +403,7 @@ TEST_F(RebalanceTest, DroppedDeltaRpcAbortsBackToSource) {
 // applied, so recovering that log alone gives back every row and every
 // committed increment. Only the lower half of the rows is written, during
 // the migration: the upper half comes back from the logged bulk copy
-// alone. The target never hosted the tenant before (drops are not logged,
-// so a returning tenant's old images would replay too).
+// alone.
 TEST_F(RebalanceTest, MigratedTenantSurvivesTargetRestartFromItsWal) {
   BuildWal("durable", 2);
   constexpr int64_t kRows = 8;

@@ -238,9 +238,7 @@ TEST_F(RecoveryTest, PromotedReplicaCarriesQuotaAndPlacementLoad) {
 
 // A recovered replica is durable on its own: the copy was logged in the
 // target's WAL as it was applied, so recovering that log alone into a fresh
-// engine gives back every table with the source's rows. The targets never
-// hosted the tenant before (drops are not logged, so a returning tenant's
-// old images would replay too).
+// engine gives back every table with the source's rows.
 TEST_F(RecoveryTest, RecoveredReplicaSurvivesARestartFromItsWal) {
   for (CopyGranularity granularity :
        {CopyGranularity::kTable, CopyGranularity::kDatabase}) {

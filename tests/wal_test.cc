@@ -255,6 +255,70 @@ TEST_F(WalTest, UpdatesAndDeletesReplayInOrder) {
   EXPECT_TRUE(items->Get(Value(int64_t{3})).has_value());
 }
 
+// A machine that gave a tenant up and later hosts it again restarts with
+// the current tenure only: the drop is logged and replays as a drop, so the
+// first tenure's rows do not come back under the second.
+TEST_F(WalTest, ADroppedDatabaseStaysDroppedAcrossARestart) {
+  {
+    Engine engine("site", WalOptions());
+    ASSERT_TRUE(engine.CreateDatabase("db").ok());
+    ASSERT_TRUE(engine.CreateTable("db", ItemsSchema()).ok());
+    ASSERT_TRUE(engine.BulkInsert("db", "items",
+                                  {{Value(int64_t{1}), Value("a"), Value(1.0)}})
+                    .ok());
+    ASSERT_TRUE(engine.DropDatabase("db").ok());
+    ASSERT_TRUE(engine.CreateDatabase("db").ok());
+    ASSERT_TRUE(engine.CreateTable("db", ItemsSchema()).ok());
+    ASSERT_TRUE(engine.Begin(1).ok());
+    ASSERT_TRUE(engine
+                    .Insert(1, "db", "items",
+                            {Value(int64_t{2}), Value("b"), Value(2.0)})
+                    .ok());
+    ASSERT_TRUE(engine.Commit(1).ok());
+  }
+  Engine recovered("site2");
+  Status status = WriteAheadLog::Recover(path_.string(), &recovered);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  Table* items = recovered.GetDatabase("db")->GetTable("items");
+  ASSERT_NE(items, nullptr);
+  EXPECT_FALSE(items->Get(Value(int64_t{1})).has_value());
+  EXPECT_TRUE(items->Get(Value(int64_t{2})).has_value());
+  EXPECT_EQ(items->row_count(), 1u);
+}
+
+// The same for a table, on both readers of the log: recovery, and a
+// migration delta replayed on another engine, which ships the drop like
+// the other DDL.
+TEST_F(WalTest, ADroppedTableStaysDroppedOnRestartAndInTheDelta) {
+  {
+    Engine engine("site", WalOptions());
+    ASSERT_TRUE(engine.CreateDatabase("db").ok());
+    ASSERT_TRUE(engine.CreateTable("db", ItemsSchema()).ok());
+    ASSERT_TRUE(engine.BulkInsert("db", "items",
+                                  {{Value(int64_t{1}), Value("a"), Value(1.0)}})
+                    .ok());
+    ASSERT_TRUE(engine.DropTable("db", "items").ok());
+    ASSERT_TRUE(engine.CreateTable("db", ItemsSchema()).ok());
+    ASSERT_TRUE(engine.BulkInsert("db", "items",
+                                  {{Value(int64_t{2}), Value("b"), Value(2.0)}})
+                    .ok());
+  }
+  uint64_t frontier = 0;
+  auto delta = WriteAheadLog::ReadCommittedDeltaSince(path_.string(), "db", 0,
+                                                      &frontier);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  Engine recovered("site2");
+  Engine replayed("site3");
+  ASSERT_TRUE(WriteAheadLog::Recover(path_.string(), &recovered).ok());
+  ASSERT_TRUE(WriteAheadLog::ReplayEncoded(*delta, &replayed).ok());
+  for (Engine* engine : {&recovered, &replayed}) {
+    Table* items = engine->GetDatabase("db")->GetTable("items");
+    ASSERT_NE(items, nullptr);
+    EXPECT_FALSE(items->Get(Value(int64_t{1})).has_value());
+    EXPECT_EQ(items->row_count(), 1u);
+  }
+}
+
 TEST_F(WalTest, TornFinalRecordIgnored) {
   {
     Engine engine("site", WalOptions());

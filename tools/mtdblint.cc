@@ -32,7 +32,7 @@
 //
 //   detached-thread  No `.detach()` anywhere: fire-and-forget threads
 //                    outlive scopes, race static destruction, and evade the
-//                    Strand/thread-join discipline. Escape:
+//                    thread-join discipline. Escape:
 //                    `mtdblint: allow(detached-thread)`.
 //
 //   todo-tag         Every TODO must carry an issue tag — `TODO(#123)` —
@@ -363,8 +363,9 @@ void CheckFile(const fs::path& root, const fs::path& path) {
     if (!self && code.find(".detach()") != std::string::npos &&
         !HasEscape(lines, i, "detached-thread")) {
       Report(rel, lineno, "detached-thread",
-             "detached thread: join it (or route the work through a "
-             "cluster::Strand); `mtdblint: allow(detached-thread)` to "
+             "detached thread: join it (or send the work as a call on a "
+             "net::InProcTransport channel, served by the transport's "
+             "joined worker pool); `mtdblint: allow(detached-thread)` to "
              "override");
     }
 
