@@ -17,12 +17,20 @@
 //   warm     the same reads again with everything resident.
 //   reload   evict again and verify every sampled tenant still answers —
 //            the "eviction is invisible to correctness" invariant.
+//   churn    catalog only (installed records, no machines): cold Acquires
+//            cycling through kChurnTenants and then 10x as many tenants
+//            under the same small resident cap, so every Acquire
+//            materializes and the eviction sweep runs at its steady rate.
+//            Making a tenant cold must cost O(that tenant): the mean
+//            Acquire at 10x the tenants may be at most 2x the mean at 1x.
 //
-// Prints one JSON object; exits non-zero if a sampled first query fails or
-// if --baseline=<file> is given and create p99 or bytes/tenant regress more
-// than 20% (plus an absolute slack) against the committed numbers. CI runs
+// Prints one JSON object; exits non-zero if a sampled first query fails, if
+// the churn ratio is over 2, or if --baseline=<file> is given and create
+// p99 or bytes/tenant regress more than 20% (plus an absolute slack)
+// against the committed numbers. CI runs
 // `tenant_scale --databases=5000 --baseline=BENCH_tenant_scale.json`;
 // the committed file comes from a full 100k run (see EXPERIMENTS.md).
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -65,6 +73,38 @@ std::string DbName(int i) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "app%06d", i);
   return buf;
+}
+
+constexpr int kChurnTenants = 2000;
+constexpr size_t kChurnResident = 256;
+constexpr int kChurnAcquires = 20000;
+constexpr int kChurnRepeats = 3;
+
+// Mean microseconds per Acquire + release on a catalog holding `tenants`
+// records, cycling through them in order. The cycle is longer than the
+// resident cap, so every Acquire finds its tenant evicted.
+double ChurnAcquireUs(int tenants) {
+  catalog::TenantCatalog::Options options;
+  options.max_resident = kChurnResident;
+  options.name = "churn";
+  catalog::TenantCatalog cat(options);
+  std::vector<std::string> names;
+  names.reserve(static_cast<size_t>(tenants));
+  for (int i = 0; i < tenants; ++i) {
+    names.push_back(DbName(i));
+    cat.Install(names.back(), catalog::TenantRecord{});
+  }
+  // Fill to the cap first, so the timed loop is all steady-state eviction.
+  for (size_t i = 0; i < kChurnResident; ++i) {
+    cat.Acquire(names[i]).Release();
+  }
+  int64_t start = NowMicros();
+  for (int i = 0; i < kChurnAcquires; ++i) {
+    cat.Acquire(names[(kChurnResident + static_cast<size_t>(i)) %
+                      names.size()])
+        .Release();
+  }
+  return static_cast<double>(NowMicros() - start) / kChurnAcquires;
 }
 
 }  // namespace
@@ -166,8 +206,23 @@ int main(int argc, char** argv) {
 
   catalog::CatalogStats stats = catalog->Stats();
 
+  // --- churn: the best of a few interleaved runs at each size ---
+  double churn_us_n = 0;
+  double churn_us_10n = 0;
+  for (int r = 0; r < kChurnRepeats; ++r) {
+    double at_n = ChurnAcquireUs(kChurnTenants);
+    double at_10n = ChurnAcquireUs(10 * kChurnTenants);
+    churn_us_n = r == 0 ? at_n : std::min(churn_us_n, at_n);
+    churn_us_10n = r == 0 ? at_10n : std::min(churn_us_10n, at_10n);
+  }
+  double churn_ratio = churn_us_n > 0 ? churn_us_10n / churn_us_n : 0;
+
   bool pass = true;
   std::string gate;
+  if (churn_ratio > 2.0) {
+    gate += "cold Acquire cost grows with the tenant count; ";
+    pass = false;
+  }
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     std::stringstream buf;
@@ -205,13 +260,18 @@ int main(int argc, char** argv) {
       "  \"catalog_evictions\": %" PRId64 ",\n"
       "  \"catalog_reloads\": %" PRId64 ",\n"
       "  \"prepared_evicted\": %" PRId64 ",\n"
+      "  \"churn_tenants\": %d,\n"
+      "  \"churn_acquire_us\": %.2f,\n"
+      "  \"churn_acquire_us_10x\": %.2f,\n"
+      "  \"churn_ratio\": %.2f,\n"
       "  \"pass\": %s\n"
       "}\n",
       databases, create_total_s, create_us.Percentile(50),
       create_us.Percentile(99), bytes_per_tenant, cold_us.Percentile(50),
       cold_us.Percentile(99), warm_us.Percentile(50), warm_us.Percentile(99),
       stats.tenants, stats.resident, stats.evictions, stats.reloads,
-      stats.prepared_evicted, pass ? "true" : "false");
+      stats.prepared_evicted, kChurnTenants, churn_us_n, churn_us_10n,
+      churn_ratio, pass ? "true" : "false");
   if (!pass) {
     std::fprintf(stderr, "tenant_scale: GATE FAILED: %s\n", gate.c_str());
     return 1;

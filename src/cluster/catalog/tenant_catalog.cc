@@ -20,6 +20,7 @@ size_t RoundUpPowerOfTwo(size_t n) {
 TenantCatalog::TenantCatalog() : TenantCatalog(Options()) {}
 
 TenantCatalog::TenantCatalog(Options options) : options_(options) {
+  lru_.prev = lru_.next = &lru_;
   size_t shards = RoundUpPowerOfTwo(std::max<size_t>(options_.shards, 1));
   shard_mask_ = shards - 1;
   shards_.reserve(shards);
@@ -75,7 +76,6 @@ void TenantCatalog::Install(const std::string& name, TenantRecord record) {
   }
   it->second->record = std::move(record);
   it->second->reserved = false;
-  it->second->last_active_us = NowMicros();
   m_tenants_->Set(tenant_count_.fetch_add(1, std::memory_order_relaxed) + 1);
 }
 
@@ -98,6 +98,10 @@ Status TenantCatalog::Erase(const std::string& name) {
       return Status::NotFound("database " + name);
     }
     detached = std::move(it->second);
+    if (detached->resident != nullptr) {
+      platform::Guard lru(lru_mu_);
+      Unlink(detached->resident.get());
+    }
     shard.tenants.erase(it);
     m_tenants_->Set(tenant_count_.fetch_sub(1, std::memory_order_relaxed) -
                     1);
@@ -197,8 +201,7 @@ TenantCatalog::TenantRef TenantCatalog::Acquire(const std::string& name) {
     Entry& entry = *it->second;
     entry.pins++;
     pinned_count_.fetch_add(1, std::memory_order_relaxed);
-    entry.last_active_us = NowMicros();
-    MaterializeLocked(entry, entry.last_active_us);
+    MaterializeLocked(it->first, entry);
   }
   MaybeEvict();
   return TenantRef(this, name);
@@ -221,8 +224,7 @@ TenantCatalog::TenantRef TenantCatalog::AcquireForTxn(const std::string& name,
     }
     entry.pins++;
     pinned_count_.fetch_add(1, std::memory_order_relaxed);
-    entry.last_active_us = NowMicros();
-    MaterializeLocked(entry, entry.last_active_us);
+    MaterializeLocked(it->first, entry);
   }
   MaybeEvict();
   return TenantRef(this, name);
@@ -244,22 +246,44 @@ void TenantCatalog::Unpin(const std::string& name) {
   if (entry.pins > 0) {
     entry.pins--;
     pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-    entry.last_active_us = NowMicros();
+    if (entry.resident != nullptr) Touch(entry);
   }
 }
 
-bool TenantCatalog::MaterializeLocked(Entry& entry, int64_t now_us) {
-  (void)now_us;
-  if (entry.resident != nullptr) return false;
-  entry.resident = std::make_unique<TenantResident>();
-  m_resident_->Set(resident_count_.fetch_add(1, std::memory_order_relaxed) +
-                   1);
-  if (entry.ever_resident) {
-    reloads_.fetch_add(1, std::memory_order_relaxed);
-    obs::Increment(m_reloads_);
+void TenantCatalog::MaterializeLocked(const std::string& name, Entry& entry) {
+  if (entry.resident == nullptr) {
+    entry.resident = std::make_unique<TenantResident>();
+    entry.resident->name = &name;
+    m_resident_->Set(
+        resident_count_.fetch_add(1, std::memory_order_relaxed) + 1);
+    if (entry.ever_resident) {
+      reloads_.fetch_add(1, std::memory_order_relaxed);
+      obs::Increment(m_reloads_);
+    }
+    entry.ever_resident = true;
   }
-  entry.ever_resident = true;
-  return true;
+  Touch(entry);
+}
+
+void TenantCatalog::Touch(Entry& entry) {
+  LruNode* node = entry.resident.get();
+  platform::Guard lock(lru_mu_);
+  if (entry.pins > 0) {
+    Unlink(node);
+  } else if (lru_.next != node) {
+    Unlink(node);
+    node->prev = &lru_;
+    node->next = lru_.next;
+    lru_.next->prev = node;
+    lru_.next = node;
+  }
+}
+
+void TenantCatalog::Unlink(LruNode* node) {
+  if (node->next == nullptr) return;
+  node->prev->next = node->next;
+  node->next->prev = node->prev;
+  node->prev = node->next = nullptr;
 }
 
 // --- Prepared registry ---
@@ -276,9 +300,8 @@ std::shared_ptr<PreparedStatement> TenantCatalog::FindPrepared(
   Entry& entry = *it->second;
   auto slot_it = entry.resident->prepared.find(sql);
   if (slot_it == entry.resident->prepared.end()) return nullptr;
-  int64_t now_us = NowMicros();
-  slot_it->second.last_use_us = now_us;
-  entry.last_active_us = now_us;
+  slot_it->second.last_use_us = NowMicros();
+  Touch(entry);
   return slot_it->second.stmt;
 }
 
@@ -297,8 +320,7 @@ std::shared_ptr<PreparedStatement> TenantCatalog::InternPrepared(
     }
     Entry& entry = *it->second;
     int64_t now_us = NowMicros();
-    entry.last_active_us = now_us;
-    MaterializeLocked(entry, now_us);
+    MaterializeLocked(it->first, entry);
     auto [slot_it, inserted] =
         entry.resident->prepared.try_emplace(sql);
     if (!inserted) {
@@ -357,53 +379,54 @@ void TenantCatalog::MaybeEvict() {
       static_cast<int64_t>(options_.max_resident)) {
     return;
   }
+  if (sweeping_.exchange(true, std::memory_order_acquire)) {
+    // The running sweep brings the count to ~90% of the cap; this caller
+    // only evicts one tenant for the one it may have added, so residency
+    // stays within one per concurrent caller of the cap meanwhile.
+    SweepResident(options_.max_resident, 1);
+    return;
+  }
   // Evict down to ~90% of the cap so one sweep buys many Acquires.
   SweepResident(options_.max_resident - options_.max_resident / 10);
+  sweeping_.store(false, std::memory_order_release);
 }
 
 size_t TenantCatalog::EvictResidentDownTo(size_t target) {
   return SweepResident(target);
 }
 
-size_t TenantCatalog::SweepResident(size_t target) {
-  if (resident_count_.load(std::memory_order_relaxed) <=
-      static_cast<int64_t>(target)) {
-    return 0;
-  }
-  // Pass 1: collect (last_active, name) of evictable tenants, one shard
-  // lock at a time (never two shard locks held together).
-  std::vector<std::pair<int64_t, std::string>> candidates;
-  for (const auto& shard : shards_) {
-    platform::Guard lock(shard->mu);
-    for (const auto& [name, entry] : shard->tenants) {
-      if (entry->resident != nullptr && entry->pins == 0 &&
-          !entry->reserved) {
-        candidates.emplace_back(entry->last_active_us, name);
-      }
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  // Pass 2: re-check and detach under each victim's shard lock. A tenant
-  // pinned between the passes is skipped — the eviction invariant holds
-  // because pins only change under the shard lock we re-check beneath.
+size_t TenantCatalog::SweepResident(size_t target, size_t max_victims) {
   std::vector<std::pair<std::string, std::unique_ptr<TenantResident>>>
       victims;
-  for (auto& [last_active, name] : candidates) {
-    if (resident_count_.load(std::memory_order_relaxed) <=
-        static_cast<int64_t>(target)) {
-      break;
+  while (victims.size() < max_victims &&
+         resident_count_.load(std::memory_order_relaxed) >
+             static_cast<int64_t>(target)) {
+    // The coldest evictable tenant. Pinned tenants are off the list, so an
+    // empty list means every resident tenant has a transaction in flight.
+    std::string name;
+    {
+      platform::Guard lock(lru_mu_);
+      if (lru_.prev == &lru_) break;
+      name = *static_cast<TenantResident*>(lru_.prev)->name;
     }
+    // Re-check under the shard lock, which orders before the list lock: a
+    // tenant touched, pinned, evicted or erased since is no longer the
+    // coldest, and the loop takes the new cold end instead.
     Shard& shard = ShardFor(name);
     platform::Guard lock(shard.mu);
     auto it = shard.tenants.find(name);
     if (it == shard.tenants.end()) continue;
     Entry& entry = *it->second;
-    if (entry.resident == nullptr || entry.pins > 0 || entry.reserved) {
-      continue;
+    {
+      platform::Guard lru(lru_mu_);
+      if (entry.resident == nullptr || lru_.prev != entry.resident.get()) {
+        continue;
+      }
+      Unlink(entry.resident.get());
     }
     int64_t dropped =
         static_cast<int64_t>(entry.resident->prepared.size());
-    victims.emplace_back(name, std::move(entry.resident));
+    victims.emplace_back(std::move(name), std::move(entry.resident));
     m_resident_->Set(
         resident_count_.fetch_sub(1, std::memory_order_relaxed) - 1);
     m_prepared_->Set(
@@ -416,7 +439,7 @@ size_t TenantCatalog::SweepResident(size_t target) {
     evictions_.fetch_add(1, std::memory_order_relaxed);
     obs::Increment(m_evictions_);
   }
-  // Pass 3: notify (no locks held) and free.
+  // Notify (no locks held) and free.
   EvictionListener listener;
   {
     platform::Guard lock(listener_mu_);

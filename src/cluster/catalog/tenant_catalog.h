@@ -21,12 +21,24 @@
 //
 // Concurrency: tenants are sharded by name hash; each shard has its own
 // mutex guarding its map and every entry in it. Catalog methods take at
-// most ONE shard lock at a time (the eviction sweep walks shards strictly
-// sequentially), so the single shard lock class can never deadlock against
-// itself. Callers must not call back into the catalog from With() callbacks
-// or eviction listeners' synchronous path into catalog methods — the shard
-// mutexes are one lock class and re-entry would self-nest. Eviction
-// listeners are invoked with no shard lock held.
+// most ONE shard lock at a time, so the single shard lock class can never
+// deadlock against itself. Callers must not call back into the catalog from
+// With() callbacks or eviction listeners' synchronous path into catalog
+// methods — the shard mutexes are one lock class and re-entry would
+// self-nest. Eviction listeners are invoked with no shard lock held.
+//
+// Eviction order: every resident, unpinned tenant sits on one intrusive LRU
+// list (its links live in the resident state, so an idle tenant pays
+// nothing for them). A touch — materialization, Acquire, Unpin, FindPrepared,
+// InternPrepared — moves the tenant to the hot end; a pin takes it off the
+// list until the last Unpin puts it back at the hot end. The list has its
+// own mutex, a leaf taken only after a shard lock (or alone). The sweep
+// reads the coldest tenant's name under the list lock, then re-checks under
+// that tenant's shard lock that it is still the coldest, and only then
+// detaches it: each victim costs O(1), whatever the tenant count. One sweep
+// runs at a time from MaybeEvict; an Acquire that finds one running evicts
+// at most one tenant itself, so residency stays within one per concurrent
+// caller of the cap while the sweep runs.
 //
 // Eviction invariant: a tenant pinned by an Acquire ref (= a transaction in
 // flight on it) is never evicted. Pins are counted under the shard lock, so
@@ -105,7 +117,7 @@ class TenantCatalog {
     size_t shards = 16;
     // Resident-state LRU cap: at most this many tenants keep materialized
     // resident state. Eviction frees down to ~90% of the cap in one sweep
-    // so the sweep cost amortizes across many Acquires.
+    // so the sweep runs once per many Acquires.
     size_t max_resident = 1024;
     // Global cap on prepared-statement registrations across all tenants.
     size_t max_prepared = 4096;
@@ -240,10 +252,20 @@ class TenantCatalog {
     int64_t last_use_us = 0;
   };
 
+  // A position on the LRU list; a node with null links is not on it.
+  // Guarded by lru_mu_, not by the shard lock.
+  struct LruNode {
+    LruNode* prev = nullptr;
+    LruNode* next = nullptr;
+  };
+
   // Evictable resident state. Today: prepared registrations. The struct
   // exists (rather than a bare map) so later layers can hang more derived
-  // state off it without touching the eviction machinery.
-  struct TenantResident {
+  // state off it without touching the eviction machinery. It is the LRU
+  // node, and `name` points at the owning shard map's key (stable while the
+  // entry exists; an entry leaves the list before it leaves the map).
+  struct TenantResident : LruNode {
+    const std::string* name = nullptr;
     std::unordered_map<std::string, PreparedSlot> prepared;
   };
 
@@ -253,7 +275,6 @@ class TenantCatalog {
     TenantRecord record;
     bool reserved = false;
     int64_t pins = 0;
-    int64_t last_active_us = 0;
     bool ever_resident = false;
     std::unique_ptr<TenantResident> resident;
   };
@@ -265,20 +286,33 @@ class TenantCatalog {
   };
 
   Shard& ShardFor(const std::string& name) const;
-  // Materializes resident state for an entry (shard lock held), updating
-  // the resident/reload counters. Returns true if this was a (re)load.
-  bool MaterializeLocked(Entry& entry, int64_t now_us);
-  // Sweeps unpinned resident tenants, oldest first, until the resident
-  // count is <= target. No shard lock held on entry; takes them one at a
-  // time. Invokes the eviction listener for each victim after all locks are
-  // released.
-  size_t SweepResident(size_t target);
+  // Materializes resident state for the entry keyed `name` in its shard
+  // map (shard lock held) if it has none, updating the resident/reload
+  // counters, then Touches it.
+  void MaterializeLocked(const std::string& name, Entry& entry);
+  // Records a use of a resident entry (shard lock held): takes a pinned
+  // entry off the LRU list, moves an unpinned one to the hot end.
+  void Touch(Entry& entry);
+  void Unlink(LruNode* node) MTDB_REQUIRES(lru_mu_);
+  // Evicts unpinned resident tenants from the cold end of the LRU list
+  // until the resident count is <= target or `max_victims` are gone. No
+  // lock held on entry. Invokes the eviction listener for each victim
+  // after all locks are released.
+  size_t SweepResident(size_t target, size_t max_victims = SIZE_MAX);
   void Unpin(const std::string& name);
   void MaybeEvict();
 
   Options options_;
   size_t shard_mask_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
+
+  // Leaf lock: taken alone or after a shard lock, never before one.
+  platform::Mutex lru_mu_{"catalog/TenantCatalog::lru_mu"};
+  // Sentinel of the circular LRU list: lru_.next is the most recently used
+  // tenant, lru_.prev the coldest.
+  LruNode lru_ MTDB_GUARDED_BY(lru_mu_);
+  // Set while MaybeEvict's sweep runs, so concurrent Acquires skip it.
+  std::atomic<bool> sweeping_{false};
 
   mutable platform::Mutex listener_mu_{"catalog/TenantCatalog::listener_mu"};
   EvictionListener listener_ MTDB_GUARDED_BY(listener_mu_);

@@ -636,21 +636,6 @@ std::vector<int> ClusterController::AliveReplicas(
   return AliveReplicasLocked(replicas);
 }
 
-Result<std::vector<int>> ClusterController::ReadTargets(
-    const std::string& db_name) const {
-  std::vector<int> replicas;
-  Status found = catalog_.With(
-      db_name, [&](const catalog::TenantRecord& record) {
-        replicas = record.replicas;
-      });
-  MTDB_RETURN_IF_ERROR(found);
-  std::vector<int> targets = AliveReplicas(replicas);
-  if (targets.empty()) {
-    return Status::Unavailable("no alive replica of " + db_name);
-  }
-  return targets;
-}
-
 Result<int> ClusterController::PickReadMachine(const std::string& db_name,
                                                int sticky) {
   std::vector<int> replicas;

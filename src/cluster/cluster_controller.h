@@ -447,8 +447,6 @@ class ClusterController {
   // Alive-filter without holding the catalog shard lock: snapshots the
   // record via the catalog, then filters under mu_.
   std::vector<int> AliveReplicas(const std::vector<int>& replicas) const;
-  // Read targets per Algorithm 1: alive replicas excluding the copy target.
-  Result<std::vector<int>> ReadTargets(const std::string& db_name) const;
   // Write targets per Algorithm 1; returns kRejected for a table being
   // copied (and bumps the rejection counter).
   Result<std::vector<int>> WriteTargets(const std::string& db_name,

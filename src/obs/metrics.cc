@@ -19,9 +19,9 @@ std::string MetricsRegistry::LabelKey(const MetricLabels& labels) {
   std::string key;
   key.reserve(labels.machine.size() + labels.database.size() +
               labels.operation.size() + 2);
-  key.append(labels.machine);
-  key.push_back('\x1f');
   key.append(labels.database);
+  key.push_back('\x1f');
+  key.append(labels.machine);
   key.push_back('\x1f');
   key.append(labels.operation);
   return key;
@@ -30,10 +30,11 @@ std::string MetricsRegistry::LabelKey(const MetricLabels& labels) {
 namespace {
 
 // Shared lookup-or-insert over the three family map shapes. Returns a
-// stable pointer; falls back to the family rollup series once the
-// cardinality bound is hit (eviction of idle databases' series frees slots
-// again, so a family saturating the cap is a transient, not a terminal,
-// state).
+// stable pointer: the live series, else the retired one for the same tuple
+// (revived), else a new one. Falls back to the family rollup series once
+// the cardinality bound is hit (eviction of idle databases' series frees
+// slots again, so a family saturating the cap is a transient, not a
+// terminal, state).
 template <typename FamilyMap, typename Series>
 Series* GetSeries(platform::SharedMutex& mu, FamilyMap& families,
                   const std::string& name, const MetricLabels& labels,
@@ -59,9 +60,14 @@ Series* GetSeries(platform::SharedMutex& mu, FamilyMap& families,
   if (family.series.size() >= MetricsRegistry::kMaxSeriesPerFamily) {
     return &family.rollup;
   }
-  auto inserted = family.series.emplace(key, std::make_unique<Series>());
+  auto retired = family.graveyard.extract(key);
+  if (retired.empty()) {
+    series_it = family.series.emplace(key, std::make_unique<Series>()).first;
+  } else {
+    series_it = family.series.insert(std::move(retired)).position;
+  }
   family.labels.emplace(key, labels);
-  return inserted.first->second.get();
+  return series_it->second.get();
 }
 
 void AppendLabels(std::ostringstream& out, const MetricLabels& labels) {
@@ -106,8 +112,9 @@ int64_t MetricsRegistry::SumCounter(const std::string& name) const {
     total += counter->Value();
   }
   // Graveyarded series were folded into the rollup and reset at eviction,
-  // so adding their (post-eviction) residue never double-counts.
-  for (const auto& counter : it->second.graveyard) {
+  // so adding their (post-eviction) residue never double-counts. A revived
+  // series carries its residue back into `series`, where it counts once.
+  for (const auto& [key, counter] : it->second.graveyard) {
     total += counter->Value();
   }
   return total;
@@ -205,19 +212,20 @@ std::vector<SeriesSnapshot> MetricsRegistry::Snapshot() const {
 
 void MetricsRegistry::EvictDatabaseSeries(const std::string& database) {
   if (database.empty()) return;
+  // Every key of `database` starts with this prefix (LabelKey puts the
+  // database first, and names never contain the separator), so its series
+  // are the one key range starting at lower_bound(prefix).
+  const std::string prefix = database + '\x1f';
   platform::WriterGuard write(mu_);
   auto evict = [&](auto& families, const auto& fold) {
     for (auto& [name, family] : families) {
-      for (auto it = family.labels.begin(); it != family.labels.end();) {
-        if (it->second.database != database) {
-          ++it;
-          continue;
-        }
-        auto series_it = family.series.find(it->first);
-        fold(family, *series_it->second);
-        family.graveyard.push_back(std::move(series_it->second));
-        family.series.erase(series_it);
-        it = family.labels.erase(it);
+      auto it = family.series.lower_bound(prefix);
+      while (it != family.series.end() &&
+             it->first.compare(0, prefix.size(), prefix) == 0) {
+        fold(family, *it->second);
+        family.labels.erase(it->first);
+        auto retired = family.series.extract(it++);
+        family.graveyard.insert(std::move(retired));
       }
     }
   };
@@ -260,17 +268,17 @@ void MetricsRegistry::ResetForTest() {
   for (auto& [name, family] : counters_) {
     family.rollup.Reset();
     for (auto& [key, counter] : family.series) counter->Reset();
-    for (auto& counter : family.graveyard) counter->Reset();
+    for (auto& [key, counter] : family.graveyard) counter->Reset();
   }
   for (auto& [name, family] : gauges_) {
     family.rollup.Reset();
     for (auto& [key, gauge] : family.series) gauge->Reset();
-    for (auto& gauge : family.graveyard) gauge->Reset();
+    for (auto& [key, gauge] : family.graveyard) gauge->Reset();
   }
   for (auto& [name, family] : histograms_) {
     family.rollup.Reset();
     for (auto& [key, histogram] : family.series) histogram->Reset();
-    for (auto& histogram : family.graveyard) histogram->Reset();
+    for (auto& [key, histogram] : family.graveyard) histogram->Reset();
   }
 }
 

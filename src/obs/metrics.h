@@ -21,9 +21,15 @@
 //     individual attribution does not. Per-database series of idle tenants
 //     can be evicted (EvictDatabaseSeries) to reclaim label space: counter
 //     and histogram contents fold into the rollup, and the series object
-//     moves to a family graveyard so pointers cached by instrumented code
-//     stay valid. Recordings through such stale pointers still count toward
-//     SumCounter; the next Get* for the same tuple mints a fresh series.
+//     is retired to the family graveyard, keyed by its label tuple, so
+//     pointers cached by instrumented code stay valid. Recordings through
+//     such stale pointers still count toward SumCounter. The next Get* for
+//     a retired tuple revives the same object instead of minting a new one,
+//     so the graveyard holds at most one object per tuple ever seen, not
+//     one per eviction.
+//  4. Retiring a tenant costs O(that tenant). Series are keyed database
+//     first, so one database's series are contiguous in each family's map
+//     and EvictDatabaseSeries visits only them.
 //
 // Metrics can be disabled at runtime (MetricsRegistry::SetEnabled(false))
 // or compiled out entirely with -DMTDB_NO_METRICS=1 (cmake -DMTDB_METRICS=OFF),
@@ -154,10 +160,12 @@ class MetricsRegistry {
   // families, reclaiming label-space for other tenants. Counter values and
   // histogram contents fold into the family rollup (so family aggregates
   // are lossless across eviction); gauges are instantaneous state of a
-  // now-idle tenant and are simply dropped. The series objects move to a
-  // per-family graveyard — never freed, so pointers cached by instrumented
-  // code stay valid, and counter increments through them still reach
-  // SumCounter. Called by the tenant catalog's eviction sweep.
+  // now-idle tenant and are simply dropped. The series objects move to the
+  // family graveyard — never freed, so pointers cached by instrumented code
+  // stay valid, and counter increments through them still reach
+  // SumCounter — until a Get* for the same tuple revives them. Visits only
+  // `database`'s series (a range of each family's map), not every series.
+  // Called by the tenant catalog's eviction sweep.
   void EvictDatabaseSeries(const std::string& database);
 
   // Zeroes every registered series (the series themselves stay registered so
@@ -167,28 +175,24 @@ class MetricsRegistry {
  private:
   MetricsRegistry() = default;
 
-  // The graveyard keeps evicted series objects alive for pointer stability;
-  // its growth is bounded by eviction traffic, and each entry is one series
-  // (tens of bytes) versus the map nodes + label strings reclaimed.
-  struct CounterFamily {
-    std::map<std::string, std::unique_ptr<Counter>> series;
+  // One metric family. `series` and `graveyard` are keyed by LabelKey, which
+  // puts the database first, so a database's series form one key range.
+  // The graveyard holds retired series (EvictDatabaseSeries) for pointer
+  // stability; a retired object moves back to `series` when its tuple is
+  // resolved again, so the graveyard is bounded by the distinct tuples ever
+  // seen, not by eviction traffic.
+  template <typename Series>
+  struct Family {
+    std::map<std::string, std::unique_ptr<Series>> series;
     std::map<std::string, MetricLabels> labels;
-    Counter rollup;
-    std::vector<std::unique_ptr<Counter>> graveyard;
+    Series rollup;
+    std::map<std::string, std::unique_ptr<Series>> graveyard;
   };
-  struct GaugeFamily {
-    std::map<std::string, std::unique_ptr<Gauge>> series;
-    std::map<std::string, MetricLabels> labels;
-    Gauge rollup;
-    std::vector<std::unique_ptr<Gauge>> graveyard;
-  };
-  struct HistogramFamily {
-    std::map<std::string, std::unique_ptr<Histogram>> series;
-    std::map<std::string, MetricLabels> labels;
-    Histogram rollup;
-    std::vector<std::unique_ptr<Histogram>> graveyard;
-  };
+  using CounterFamily = Family<Counter>;
+  using GaugeFamily = Family<Gauge>;
+  using HistogramFamily = Family<Histogram>;
 
+  // "database\x1fmachine\x1foperation": database first (see Family).
   static std::string LabelKey(const MetricLabels& labels);
 
 #if !defined(MTDB_NO_METRICS)

@@ -2,7 +2,10 @@
 // lazy materialization, LRU eviction with pin protection, and the
 // eviction-is-invisible reload invariant — plus a threaded Acquire/sweep
 // race for the TSan job (ctest -L catalog under the tsan preset).
+#include <algorithm>
 #include <atomic>
+#include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +29,22 @@ TenantRecord RecordOn(std::vector<int> replicas) {
   TenantRecord record;
   record.replicas = std::move(replicas);
   return record;
+}
+
+// A registered statement to hang on catalog entries; only the controller
+// can construct one, so mint it through a one-machine cluster.
+std::shared_ptr<PreparedStatement> MintStatement() {
+  ClusterControllerOptions options;
+  options.default_replicas = 1;
+  ClusterController controller(options);
+  controller.AddMachine({});
+  EXPECT_TRUE(controller.CreateDatabase("src").ok());
+  EXPECT_TRUE(
+      controller.ExecuteDdl("src", "CREATE TABLE t (id INT PRIMARY KEY)").ok());
+  auto stmt =
+      controller.PrepareStatement("src", "SELECT id FROM t WHERE id = ?");
+  EXPECT_TRUE(stmt.ok());
+  return stmt.ok() ? *stmt : nullptr;
 }
 
 TEST(TenantCatalogTest, InstallIsDurableButNotResident) {
@@ -220,6 +239,138 @@ TEST(TenantCatalogTest, ConcurrentAcquireAndSweep) {
   for (int i = 0; i < kTenants; ++i) {
     EXPECT_TRUE(cat.Acquire("app" + std::to_string(i)).valid());
   }
+}
+
+TEST(TenantCatalogTest, EvictionIsExactLruAcrossShards) {
+  std::shared_ptr<PreparedStatement> stmt = MintStatement();
+  ASSERT_NE(stmt, nullptr);
+  const std::string& sql = stmt->sql();
+  TenantCatalog cat;  // 16 shards: the names spread over all of them
+
+  // Model of the evictable tenants, coldest first: a touch moves a tenant
+  // to the hot end, a pin takes it off until its last release.
+  std::vector<std::string> model;
+  std::map<std::string, std::deque<TenantCatalog::TenantRef>> pins;
+  auto to_hot_end = [&](const std::string& name) {
+    model.erase(std::remove(model.begin(), model.end(), name), model.end());
+    model.push_back(name);
+  };
+  auto pinned = [&](const std::string& name) { return !pins[name].empty(); };
+
+  constexpr int kTenants = 24;
+  std::vector<std::string> names;
+  for (int i = 0; i < kTenants; ++i) {
+    names.push_back("app" + std::to_string(i));
+    cat.Install(names.back(), RecordOn({0}));
+    cat.Acquire(names.back()).Release();
+    ASSERT_EQ(cat.InternPrepared(names.back(), sql, stmt), stmt);
+    to_hot_end(names.back());
+  }
+
+  // Interleaved touches, back to back with no sleeps: the order is the
+  // order of the calls, not of clock readings.
+  std::deque<std::string> pin_order;
+  for (int k = 0; k < kTenants * 4; ++k) {
+    const std::string& name = names[(k * 7 + 3) % kTenants];
+    switch (k % 4) {
+      case 0:  // Acquire + Unpin
+        cat.Acquire(name).Release();
+        if (!pinned(name)) to_hot_end(name);
+        break;
+      case 1:  // FindPrepared
+        ASSERT_EQ(cat.FindPrepared(name, sql), stmt);
+        if (!pinned(name)) to_hot_end(name);
+        break;
+      case 2:  // pin: off the list until released
+        pins[name].push_back(cat.Acquire(name));
+        pin_order.push_back(name);
+        model.erase(std::remove(model.begin(), model.end(), name),
+                    model.end());
+        break;
+      case 3:  // Unpin the oldest pin
+        if (!pin_order.empty()) {
+          std::string oldest = pin_order.front();
+          pin_order.pop_front();
+          pins[oldest].pop_front();
+          if (!pinned(oldest)) to_hot_end(oldest);
+        }
+        break;
+    }
+  }
+  while (!pin_order.empty()) {
+    std::string oldest = pin_order.front();
+    pin_order.pop_front();
+    pins[oldest].pop_front();
+    if (!pinned(oldest)) to_hot_end(oldest);
+  }
+  ASSERT_EQ(model.size(), static_cast<size_t>(kTenants));
+
+  std::vector<std::string> evicted;
+  cat.SetEvictionListener(
+      [&](const std::string& tenant) { evicted.push_back(tenant); });
+  EXPECT_EQ(cat.EvictResidentDownTo(0), static_cast<size_t>(kTenants));
+  EXPECT_EQ(evicted, model);
+}
+
+TEST(TenantCatalogTest, ConcurrentAcquirePastCapStaysBoundedAndBalanced) {
+  std::shared_ptr<PreparedStatement> stmt = MintStatement();
+  ASSERT_NE(stmt, nullptr);
+  const std::string& sql = stmt->sql();
+  TenantCatalog::Options options;
+  options.max_resident = 32;
+  TenantCatalog cat(options);
+
+  constexpr int kTenants = 512;
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 1000;
+  for (int i = 0; i < kTenants; ++i) {
+    cat.Install("app" + std::to_string(i), RecordOn({0}));
+  }
+
+  std::atomic<size_t> max_resident{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      size_t seen = 0;
+      for (int i = 0; i < kRounds; ++i) {
+        // Stride 17 is coprime with 512: each thread visits every tenant.
+        std::string name =
+            "app" + std::to_string((t * 131 + i * 17) % kTenants);
+        TenantCatalog::TenantRef ref = cat.Acquire(name);
+        ASSERT_TRUE(ref.valid());
+        if (i % 3 == 0) {
+          (void)cat.InternPrepared(name, sql, stmt);
+        } else if (i % 3 == 1) {
+          (void)cat.FindPrepared(name, sql);
+        }
+        seen = std::max(seen, cat.resident_count());
+      }
+      size_t prev = max_resident.load();
+      while (seen > prev && !max_resident.compare_exchange_weak(prev, seen)) {
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  // An Acquire that finds a sweep running evicts one tenant for the one
+  // it added, so the overshoot is at most one per thread.
+  EXPECT_LE(max_resident.load(), options.max_resident + kThreads);
+  CatalogStats stats = cat.Stats();
+  EXPECT_EQ(stats.pinned, 0);
+  EXPECT_EQ(static_cast<size_t>(stats.resident), cat.resident_count());
+  EXPECT_LE(stats.resident, static_cast<int64_t>(options.max_resident) +
+                                kThreads);
+  // Every materialization (first load or reload) is resident or evicted.
+  EXPECT_EQ(stats.evictions + stats.resident, kTenants + stats.reloads);
+  // One statement text, so at most one registration per resident tenant.
+  EXPECT_LE(stats.prepared, stats.resident);
+
+  EXPECT_EQ(cat.EvictResidentDownTo(0), static_cast<size_t>(stats.resident));
+  stats = cat.Stats();
+  EXPECT_EQ(stats.resident, 0);
+  EXPECT_EQ(stats.prepared, 0);
+  EXPECT_EQ(stats.pinned, 0);
+  EXPECT_GT(stats.prepared_evicted, 0);
 }
 
 // --- Controller-level coverage: the catalog wired into the real stack ---

@@ -121,6 +121,98 @@ TEST(ObsMetricsTest, EvictDatabaseSeriesFoldsWithoutLosingCounts) {
             10);
 }
 
+TEST(ObsMetricsTest, RetiredSeriesIsRevivedNotReminted) {
+  auto& registry = MetricsRegistry::Global();
+  MetricLabels labels{.machine = "m0", .database = "revived"};
+  obs::Counter* counter = registry.GetCounter("test_revive_total", labels);
+  Histogram* hist = registry.GetHistogram("test_revive_us", labels);
+  obs::Increment(counter, 10);
+  obs::Observe(hist, 7);
+
+  registry.EvictDatabaseSeries("revived");
+  EXPECT_EQ(registry.SumCounter("test_revive_total"), 10);
+  // Instrumented code that cached the pointer keeps recording through it.
+  obs::Increment(counter, 3);
+  EXPECT_EQ(registry.SumCounter("test_revive_total"), 13);
+
+  // Resolving the tuple again hands back the retired object itself ...
+  EXPECT_EQ(registry.GetCounter("test_revive_total", labels), counter);
+  EXPECT_EQ(registry.GetHistogram("test_revive_us", labels), hist);
+  // ... and the stale increments are counted exactly once: on the live
+  // series now, no longer through the graveyard.
+  EXPECT_EQ(registry.CounterValue("test_revive_total", labels), 3);
+  EXPECT_EQ(registry.SumCounter("test_revive_total"), 13);
+  obs::Increment(counter, 1);
+  EXPECT_EQ(registry.SumCounter("test_revive_total"), 14);
+
+  // Eviction cycles reuse the one object rather than growing a graveyard.
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    registry.EvictDatabaseSeries("revived");
+    EXPECT_EQ(registry.GetCounter("test_revive_total", labels), counter);
+  }
+  EXPECT_EQ(registry.SumCounter("test_revive_total"), 14);
+  EXPECT_EQ(hist->Snapshot().count, 0);  // folded into the rollup
+}
+
+TEST(ObsMetricsTest, EvictingOneDatabaseLeavesFiveHundredOthersExact) {
+  auto& registry = MetricsRegistry::Global();
+  // The victim "n4" is a name prefix of neighbors n40..n49 and n400..n499:
+  // eviction must take exactly its own series.
+  const std::string victim = "n4";
+  std::vector<std::string> others;
+  for (int d = 0; d <= 500; ++d) {
+    if (d != 4) others.push_back("n" + std::to_string(d));
+  }
+  ASSERT_EQ(others.size(), 500u);
+  int64_t others_total = 0;
+  for (size_t i = 0; i < others.size(); ++i) {
+    MetricLabels labels{.machine = "m" + std::to_string(i % 4),
+                        .database = others[i]};
+    int64_t value = static_cast<int64_t>(i) + 1;
+    obs::Increment(registry.GetCounter("test_neighbors_total", labels), value);
+    obs::Observe(registry.GetHistogram("test_neighbors_us", labels), value);
+    others_total += value;
+  }
+  for (const char* machine : {"m0", "m1"}) {
+    MetricLabels labels{.machine = machine, .database = victim};
+    obs::Increment(registry.GetCounter("test_neighbors_total", labels), 1000);
+    obs::Observe(registry.GetHistogram("test_neighbors_us", labels), 1000);
+  }
+
+  registry.EvictDatabaseSeries(victim);
+
+  for (size_t i = 0; i < others.size(); ++i) {
+    MetricLabels labels{.machine = "m" + std::to_string(i % 4),
+                        .database = others[i]};
+    ASSERT_EQ(registry.CounterValue("test_neighbors_total", labels),
+              static_cast<int64_t>(i) + 1)
+        << others[i];
+  }
+  EXPECT_EQ(registry.CounterValue("test_neighbors_total",
+                                  {.machine = "m0", .database = victim}),
+            0);
+  EXPECT_EQ(registry.CounterValue(
+                "test_neighbors_total",
+                {.database = MetricsRegistry::kRollupDatabase}),
+            2000);
+  EXPECT_EQ(registry.SumCounter("test_neighbors_total"), others_total + 2000);
+
+  int64_t live_observations = 0;
+  int64_t rollup_observations = -1;
+  for (const obs::SeriesSnapshot& snap : registry.Snapshot()) {
+    if (snap.name != "test_neighbors_us") continue;
+    if (snap.labels.database == MetricsRegistry::kRollupDatabase) {
+      rollup_observations = snap.histogram.count;
+      EXPECT_EQ(snap.histogram.max, 1000);
+    } else {
+      EXPECT_NE(snap.labels.database, victim);
+      live_observations += snap.histogram.count;
+    }
+  }
+  EXPECT_EQ(live_observations, 500);
+  EXPECT_EQ(rollup_observations, 2);
+}
+
 TEST(ObsMetricsTest, TextDumpFormatsLabelsAndHistograms) {
   auto& registry = MetricsRegistry::Global();
   registry.GetCounter("test_dump_total", {.machine = "m1", .database = "shop"})
