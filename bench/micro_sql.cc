@@ -9,10 +9,12 @@
 //  2. Engine throughput — statements/second for the same statement executed
 //     (a) unprepared: Parse + PlanBorrowed + ExecutePlan on every call,
 //     (b) text-cached: ExecuteSql with a '?' statement (plan-cache hit), and
-//     (c) prepared: ExecutePrepared against a statement handle.
+//     (c) prepared: a caller-held GetPlan plan run by ExecutePlan.
 //  3. Cluster round trip — a TPC-W home-interaction transaction driven over
-//     the in-proc RPC path, unprepared (SQL text shipped and re-parsed at
-//     the controller for routing on every call) vs prepared (handles only).
+//     the in-proc RPC path, unprepared (re-parsed at the controller for
+//     routing on every call) vs prepared (routing facts held by the
+//     statement). Both ship SQL text; the machines plan it through their
+//     plan caches.
 //     The machine latency model is zeroed so the SQL-path cost dominates.
 //     Three interleaved trials per variant; the medians are compared. The
 //     prepared transaction's RPCs per transaction, by type, come from
@@ -91,9 +93,8 @@ double MeasureNs(int64_t duration_ms, Op op) {
 }
 
 // Every RpcType a client transaction can issue.
-constexpr std::array<net::RpcType, 8> kTxnRpcTypes = {
-    net::RpcType::kBegin,          net::RpcType::kExecute,
-    net::RpcType::kExecutePrepared, net::RpcType::kPrepareStatement,
+constexpr std::array<net::RpcType, 6> kTxnRpcTypes = {
+    net::RpcType::kBegin,          net::RpcType::kExecutePrepared,
     net::RpcType::kPrepare,        net::RpcType::kCommit,
     net::RpcType::kCommitPrepared, net::RpcType::kAbort};
 
@@ -149,12 +150,12 @@ ClusterPair MeasureClusterRoundTrip(int64_t duration_ms) {
   Random rng(7);
   int64_t prepared_txns = 0;
   int64_t failed_txns = 0;
-  auto measure = [&](bool use_handles) {
+  auto measure = [&](bool use_prepared) {
     return MeasureThroughput(duration_ms, [&](int64_t) {
       Value customer(static_cast<int64_t>(rng.Uniform(scale.customers)) + 1);
       Value item(static_cast<int64_t>(rng.Uniform(scale.items)) + 1);
       bool ok = conn->Begin().ok();
-      if (use_handles) {
+      if (use_prepared) {
         ok = conn->ExecutePrepared(*customer_stmt, {customer}).ok() && ok;
         ok = conn->ExecutePrepared(*item_stmt, {item}).ok() && ok;
         ++prepared_txns;
@@ -175,9 +176,9 @@ ClusterPair MeasureClusterRoundTrip(int64_t duration_ms) {
   std::array<double, 3> prepared{};
   std::array<int64_t, kTxnRpcTypes.size()> prepared_rpcs{};
   for (int trial = 0; trial < 3; ++trial) {
-    unprepared[trial] = measure(/*use_handles=*/false);
+    unprepared[trial] = measure(/*use_prepared=*/false);
     auto before = TxnRpcCounts();
-    prepared[trial] = measure(/*use_handles=*/true);
+    prepared[trial] = measure(/*use_prepared=*/true);
     auto after = TxnRpcCounts();
     for (size_t i = 0; i < kTxnRpcTypes.size(); ++i) {
       prepared_rpcs[i] += after[i] - before[i];
@@ -230,15 +231,15 @@ int Run() {
     auto plan = planner.PlanBorrowed("db", *stmt);
     if (!plan.ok()) std::abort();
   });
-  auto handle = engine->PrepareStatement("db", kPointSelect);
-  if (!handle.ok()) {
+  auto held = engine->GetPlan("db", kPointSelect);
+  if (!held.ok()) {
     std::fprintf(stderr, "prepare failed: %s\n",
-                 handle.status().ToString().c_str());
+                 held.status().ToString().c_str());
     return 1;
   }
   double execute_ns = MeasureNs(duration_ms, [&](int64_t) {
     (void)engine->Begin(txn);
-    (void)engine->ExecutePrepared(txn, "db", *handle, {draw()});
+    (void)executor.ExecutePlan(txn, "db", **held, {draw()});
     (void)engine->Commit(txn);
     ++txn;
   });
@@ -265,20 +266,20 @@ int Run() {
   });
   double prepared = MeasureThroughput(duration_ms, [&](int64_t) {
     (void)engine->Begin(txn);
-    (void)engine->ExecutePrepared(txn, "db", *handle, {draw()});
+    (void)executor.ExecutePlan(txn, "db", **held, {draw()});
     (void)engine->Commit(txn);
     ++txn;
   });
   PrintRow({"engine variant", "stmts/sec"});
   PrintRow({"unprepared (parse+plan+execute)", Fmt(unprepared, 0)});
   PrintRow({"text-cached (plan-cache hit)", Fmt(text_cached, 0)});
-  PrintRow({"prepared (handle)", Fmt(prepared, 0)});
+  PrintRow({"prepared (held plan)", Fmt(prepared, 0)});
 
   // --- Section 3: cluster round trip ---
   ClusterPair cluster = MeasureClusterRoundTrip(duration_ms);
   PrintRow({"cluster variant", "txns/sec"});
   PrintRow({"unprepared (SQL text over RPC)", Fmt(cluster.unprepared_tps, 0)});
-  PrintRow({"prepared (handles over RPC)", Fmt(cluster.prepared_tps, 0)});
+  PrintRow({"prepared (no routing parse)", Fmt(cluster.prepared_tps, 0)});
   PrintRow({"prepared txn RPC type", "RPCs/txn"});
   double rpcs_per_txn = 0;
   std::string rpcs_json;
@@ -354,7 +355,7 @@ int Run() {
 
   // CI gate: preparing must pay. The engine comparison eliminates parse+plan
   // per call; the cluster comparison eliminates the controller-side routing
-  // parse and ships a u64 handle instead of SQL text. Both cluster variants
+  // parse (both variants ship SQL text). Both cluster variants
   // must run their transactions without a failure.
   bool ok = prepared > unprepared &&
             cluster.prepared_tps > cluster.unprepared_tps &&

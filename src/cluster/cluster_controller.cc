@@ -65,13 +65,12 @@ struct CallBarrier {
 };
 
 // Whether an execute that carried the transaction's begin left the
-// transaction running on the machine. A stale handle, a throttled admission
-// and an unreachable machine refuse before the begin; any other failure may
-// come from the statement itself, after it, so the machine counts as begun
-// (an abort sent to a machine without the transaction is a no-op).
+// transaction running on the machine. A throttled admission and an
+// unreachable machine refuse before the begin; any other failure may come
+// from the statement itself, after it, so the machine counts as begun (an
+// abort sent to a machine without the transaction is a no-op).
 bool BeginRan(StatusCode code) {
-  return code != StatusCode::kUnknownHandle &&
-         code != StatusCode::kResourceExhausted &&
+  return code != StatusCode::kResourceExhausted &&
          code != StatusCode::kUnavailable;
 }
 
@@ -323,7 +322,8 @@ Result<std::shared_ptr<PreparedStatement>> ClusterController::PrepareStatement(
     return hit;
   }
   // Parse locally for routing facts only (read vs. write, target table); the
-  // machines parse and plan for themselves when their handle is minted.
+  // machines parse and plan the text for themselves, through their plan
+  // caches.
   MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
   if (stmt.explain) {
     return Status::InvalidArgument("cannot prepare an EXPLAIN statement");
@@ -339,36 +339,6 @@ Result<std::shared_ptr<PreparedStatement>> ClusterController::PrepareStatement(
   return catalog_.InternPrepared(db_name, sql, std::move(prepared));
 }
 
-Result<uint64_t> ClusterController::HandleOn(PreparedStatement* stmt,
-                                             int machine_id) {
-  {
-    platform::Guard lock(stmt->mu_);
-    auto it = stmt->machine_handles_.find(machine_id);
-    if (it != stmt->machine_handles_.end()) return it->second;
-  }
-  MTDB_ASSIGN_OR_RETURN(
-      uint64_t handle,
-      client_->PrepareStatement(machine_id, stmt->db_name_, stmt->sql_));
-  platform::Guard lock(stmt->mu_);
-  stmt->machine_handles_[machine_id] = handle;
-  return handle;
-}
-
-void ClusterController::DropHandle(PreparedStatement* stmt, int machine_id) {
-  if (stmt == nullptr) return;  // SQL text has no handle
-  platform::Guard lock(stmt->mu_);
-  stmt->machine_handles_.erase(machine_id);
-}
-
-void ClusterController::InvalidateHandles(int machine_id) {
-  // Lock order: catalog shard_mu (inside ForEachPrepared) before
-  // PreparedStatement::mu_, never the reverse.
-  catalog_.ForEachPrepared([machine_id](PreparedStatement& stmt) {
-    platform::Guard stmt_lock(stmt.mu_);
-    stmt.machine_handles_.erase(machine_id);
-  });
-}
-
 // --- Failure & copy coordination ---
 
 void ClusterController::FailMachine(int machine_id) {
@@ -377,9 +347,6 @@ void ClusterController::FailMachine(int machine_id) {
   // RPC against an already-failed machine.
   if (m != nullptr && !m->failed()) obs::Increment(m_failover_);
   if (m != nullptr) m->Fail();
-  // Statement handles are engine-local; whatever replaces this machine will
-  // not know them, so force re-preparation on the next use.
-  InvalidateHandles(machine_id);
 }
 
 Status ClusterController::BeginCopy(const std::string& db_name,
@@ -1041,13 +1008,13 @@ Result<sql::QueryResult> Connection::ExecutePrepared(
   if (stmt == nullptr) {
     return Status::InvalidArgument("null prepared statement");
   }
-  if (stmt->db_name_ != db_name_) {
+  if (stmt->database() != db_name_) {
     return Status::InvalidArgument("prepared statement belongs to database " +
-                                   stmt->db_name_);
+                                   stmt->database());
   }
-  return ExecuteStatement({.is_read = stmt->is_read_,
-                           .write_table = &stmt->write_table_,
-                           .prepared = stmt},
+  return ExecuteStatement({.is_read = stmt->is_read(),
+                           .write_table = &stmt->write_table(),
+                           .sql = &stmt->sql()},
                           params);
 }
 
@@ -1077,21 +1044,12 @@ Result<sql::QueryResult> Connection::ExecuteStatement(
   return stmt.is_read ? ExecuteRead(stmt, params) : ExecuteWrite(stmt, params);
 }
 
-Result<net::StatementOnWire> Connection::WireFor(const StatementRef& stmt,
-                                                 int machine_id) {
-  if (stmt.prepared == nullptr) return net::StatementOnWire{.sql = stmt.sql};
-  MTDB_ASSIGN_OR_RETURN(uint64_t handle,
-                        controller_->HandleOn(stmt.prepared.get(), machine_id));
-  return net::StatementOnWire{.handle = handle};
-}
-
 Result<sql::QueryResult> Connection::ExecuteRead(
     const StatementRef& stmt, const std::vector<Value>& params) {
   // Retry against other replicas when the chosen one turns out to be dead
   // (the paper: "the cluster controller continues to process client database
-  // requests using the available machines"): one attempt per machine, plus
-  // one to re-mint a handle the machine no longer knows.
-  size_t attempts = controller_->machine_count() + 2;
+  // requests using the available machines"): one attempt per machine.
+  size_t attempts = controller_->machine_count() + 1;
   Status last = Status::Unavailable("no replica tried");
   for (size_t attempt = 0; attempt < attempts; ++attempt) {
     MTDB_ASSIGN_OR_RETURN(
@@ -1115,42 +1073,31 @@ Result<sql::QueryResult> Connection::ExecuteRead(
                           ReadRoutingOption::kPerTransaction) {
       sticky_read_machine_ = machine_id;
     }
-    auto wire = WireFor(stmt, machine_id);
-    Status status = wire.status();
-    if (wire.ok()) {
-      // The first read to a machine carries the transaction's begin there
-      // (admission included), saving the Begin round trip; a read-only
-      // snapshot is taken as that read arrives.
-      const bool begin = begun_machines_.count(machine_id) == 0;
-      const net::TxnStart start = !begin     ? net::TxnStart::kBegun
-                                  : read_only_ ? net::TxnStart::kBeginReadOnly
-                                               : net::TxnStart::kBegin;
-      int64_t inject =
-          controller_->InjectedLatency(label_, /*is_write=*/false, machine_id);
-      net::RpcResponse response = RetryThrottled([&] {
-        return net::AwaitReply([&](net::ResponseHandler done) {
-          SessionFor(machine_id)
-              ->ExecuteAsync(txn_id_, db_name_, *wire, params, inject,
-                             std::move(done), start);
-        });
+    // The first read to a machine carries the transaction's begin there
+    // (admission included), saving the Begin round trip; a read-only
+    // snapshot is taken as that read arrives.
+    const bool begin = begun_machines_.count(machine_id) == 0;
+    const net::TxnStart start = !begin     ? net::TxnStart::kBegun
+                                : read_only_ ? net::TxnStart::kBeginReadOnly
+                                             : net::TxnStart::kBegin;
+    int64_t inject =
+        controller_->InjectedLatency(label_, /*is_write=*/false, machine_id);
+    net::RpcResponse response = RetryThrottled([&] {
+      return net::AwaitReply([&](net::ResponseHandler done) {
+        SessionFor(machine_id)
+            ->ExecuteAsync(txn_id_, db_name_, *stmt.sql, params, inject,
+                           std::move(done), start);
       });
-      if (begin && BeginRan(response.code)) {
-        begun_machines_.insert(machine_id);
-        snapshot_ts_ = response.snapshot_ts;
-      }
-      if (response.ok()) {
-        snapshot_read_done_ = snapshot_read_done_ || read_only_;
-        return std::move(response.result);
-      }
-      status = response.ToStatus();
+    });
+    if (begin && BeginRan(response.code)) {
+      begun_machines_.insert(machine_id);
+      snapshot_ts_ = response.snapshot_ts;
     }
-    if (status.code() == StatusCode::kUnknownHandle) {
-      // The machine's engine lost its handles (it restarted behind a stable
-      // endpoint): re-mint on the next attempt.
-      controller_->DropHandle(stmt.prepared.get(), machine_id);
-      last = status;
-      continue;
+    if (response.ok()) {
+      snapshot_read_done_ = snapshot_read_done_ || read_only_;
+      return std::move(response.result);
     }
+    Status status = response.ToStatus();
     if (status.code() == StatusCode::kUnavailable) {
       begun_machines_.erase(machine_id);
       if (sticky_read_machine_ == machine_id) sticky_read_machine_ = -1;
@@ -1200,17 +1147,15 @@ Result<sql::QueryResult> Connection::ExecuteWrite(
   auto pending = std::make_shared<PendingWrite>();
   pending->db_name = db_name_;
   pending->table = table;
-  pending->stmt = stmt.prepared;
   pending->outstanding = static_cast<int>(targets.size());
 
   for (int machine_id : targets) {
-    net::ResponseHandler handler = MakeWriteHandler(pending, machine_id);
-    // A replica we cannot mint a handle on or begin (dead, or throttled past
-    // the retry budget) counts as a failed replica RPC: feed the status
-    // through its handler so the PendingWrite (and the inflight-write
-    // accounting) stays balanced.
-    auto wire = WireFor(stmt, machine_id);
-    Status status = wire.ok() ? EnsureBegun(machine_id) : wire.status();
+    net::ResponseHandler handler = MakeWriteHandler(pending);
+    // A replica we cannot begin on (dead, or throttled past the retry
+    // budget) counts as a failed replica RPC: feed the status through its
+    // handler so the PendingWrite (and the inflight-write accounting) stays
+    // balanced.
+    Status status = EnsureBegun(machine_id);
     if (!status.ok()) {
       handler(net::RpcResponse::FromStatus(status));
       continue;
@@ -1218,25 +1163,20 @@ Result<sql::QueryResult> Connection::ExecuteWrite(
     int64_t inject =
         controller_->InjectedLatency(label_, /*is_write=*/true, machine_id);
     SessionFor(machine_id)
-        ->ExecuteAsync(txn_id_, db_name_, *wire, params, inject,
+        ->ExecuteAsync(txn_id_, db_name_, *stmt.sql, params, inject,
                        std::move(handler));
   }
   return FinishWrite(std::move(pending));
 }
 
 net::ResponseHandler Connection::MakeWriteHandler(
-    std::shared_ptr<PendingWrite> pending, int machine_id) {
+    std::shared_ptr<PendingWrite> pending) {
   // The MachineClient guarantees this handler fires exactly once per call
   // (reply or deadline), so the inflight-write accounting cannot leak.
   ClusterController* controller = controller_;
-  return [pending = std::move(pending), controller,
-          machine_id](net::RpcResponse response) {
+  return [pending = std::move(pending),
+          controller](net::RpcResponse response) {
     Status status = response.ToStatus();
-    if (status.code() == StatusCode::kUnknownHandle) {
-      // The replica's engine lost its handles: the write fails there, and
-      // the next statement re-mints the handle.
-      controller->DropHandle(pending->stmt.get(), machine_id);
-    }
     bool last = false;
     {
       platform::Guard lock(pending->mu);

@@ -91,15 +91,12 @@ class Connection;
 
 // One statement on its way from a Connection to the machines: the routing
 // facts derived once from its parse (a read goes to one replica, a write to
-// every replica of the one table it touches) and what travels on the wire —
-// the SQL text, or a prepared statement whose machine-local handle is looked
-// up per replica at send time.
+// every replica of the one table it touches) and the SQL text that travels
+// on the wire, prepared or not.
 struct StatementRef {
   bool is_read = false;                      // SELECT, or any EXPLAIN
   const std::string* write_table = nullptr;  // writes only
-  const std::string* sql = nullptr;          // text: ships as kExecute
-  // Prepared: ships its handle on each machine as kExecutePrepared.
-  std::shared_ptr<PreparedStatement> prepared;
+  const std::string* sql = nullptr;
 };
 
 // A client database connection, handed out by the cluster controller (which
@@ -131,8 +128,8 @@ class Connection {
   // same text twice returns the same statement) for later ExecutePrepared.
   Result<std::shared_ptr<PreparedStatement>> Prepare(const std::string& sql);
   // Runs a prepared statement with `params` bound to its '?' markers.
-  // Follows the same routing/replication/autocommit rules as Execute, but
-  // ships a machine-local statement handle instead of SQL text.
+  // Follows the same routing/replication/autocommit rules as Execute and
+  // ships the same SQL text; only the controller's routing parse is saved.
   Result<sql::QueryResult> ExecutePrepared(
       const std::shared_ptr<PreparedStatement>& stmt,
       const std::vector<Value>& params = {});
@@ -155,11 +152,9 @@ class Connection {
   // RPC handlers.
   struct PendingWrite {
     // Set before the latch is shared, read-only afterwards: the inflight
-    // write the last handler ends, and the statement whose stale handles
-    // the handlers drop (null for SQL text).
+    // write the last handler ends.
     std::string db_name;
     std::string table;
-    std::shared_ptr<PreparedStatement> stmt;
     platform::Mutex mu{"cluster/Connection::PendingWrite::mu"};
     platform::CondVar cv;
     int outstanding MTDB_GUARDED_BY(mu) = 0;
@@ -184,21 +179,15 @@ class Connection {
   // routine.
   Result<sql::QueryResult> ExecuteStatement(const StatementRef& stmt,
                                             const std::vector<Value>& params);
-  // One replica, with failover to another on kUnavailable and a re-mint on
-  // kUnknownHandle.
+  // One replica, with failover to another on kUnavailable.
   Result<sql::QueryResult> ExecuteRead(const StatementRef& stmt,
                                        const std::vector<Value>& params);
   // Every write target (ROWA), acknowledged per the WriteAckPolicy.
   Result<sql::QueryResult> ExecuteWrite(const StatementRef& stmt,
                                         const std::vector<Value>& params);
-  // What machine_id is sent for `stmt`: its text, or its handle there
-  // (minted with a kPrepareStatement RPC on first use).
-  Result<net::StatementOnWire> WireFor(const StatementRef& stmt,
-                                       int machine_id);
   // Replica-fanout plumbing of ExecuteWrite: the exactly-once completion
-  // handler of machine_id's RPC and the policy-dependent wait.
-  net::ResponseHandler MakeWriteHandler(std::shared_ptr<PendingWrite> pending,
-                                        int machine_id);
+  // handler of one replica's RPC and the policy-dependent wait.
+  net::ResponseHandler MakeWriteHandler(std::shared_ptr<PendingWrite> pending);
   Result<sql::QueryResult> FinishWrite(std::shared_ptr<PendingWrite> pending);
   // Waits for all asynchronously outstanding writes (aggressive mode).
   Status WaitOutstandingWrites();
@@ -330,8 +319,8 @@ class ClusterController {
 
   // --- Prepared statements ---
   // Parses `sql` once for routing facts and registers it in the shared
-  // (database, sql) -> PreparedStatement registry. Machine-local handles are
-  // minted lazily, per replica, on first execution. Only SELECT and DML can
+  // (database, sql) -> PreparedStatement registry. Machines keep nothing
+  // for it beyond their plan cache. Only SELECT and DML can
   // be prepared (DDL goes through ExecuteDdl; EXPLAIN is rejected because
   // its output is the plan, not data).
   Result<std::shared_ptr<PreparedStatement>> PrepareStatement(
@@ -363,8 +352,7 @@ class ClusterController {
   // Atomically replaces `source_machine` with `target_machine` in db_name's
   // replica list. Positional swap, so primary_offset keeps naming the same
   // logical slot. Like CompleteCopy, the target joins with the tenant's
-  // quota already in force, and no handle is invalidated: a cached handle
-  // that outlived its engine answers kUnknownHandle and is re-minted.
+  // quota already in force.
   Status SwapReplica(const std::string& db_name, int source_machine,
                      int target_machine);
 
@@ -461,14 +449,6 @@ class ClusterController {
                          const std::vector<int>& after);
   void LogCommitDecision(uint64_t txn_id);
   void ForgetCommitDecision(uint64_t txn_id);
-  // Returns the machine-local handle for `stmt` on machine_id, minting it
-  // with a kPrepareStatement control RPC on first use.
-  Result<uint64_t> HandleOn(PreparedStatement* stmt, int machine_id);
-  // Forgets one cached handle (the machine answered kUnknownHandle); a
-  // no-op for a null statement (SQL text).
-  void DropHandle(PreparedStatement* stmt, int machine_id);
-  // Forgets every handle cached for machine_id (machine failed/replaced).
-  void InvalidateHandles(int machine_id);
   // In-flight replicated-write accounting (see WaitForQuiescentWrites).
   void BeginInflightWrite(const std::string& db_name,
                           const std::string& table);

@@ -30,8 +30,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "FailedPrecondition";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
-    case StatusCode::kUnknownHandle:
-      return "UnknownHandle";
   }
   return "Unknown";
 }

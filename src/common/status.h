@@ -36,11 +36,6 @@ enum class StatusCode {
   kFailedPrecondition,
   // Resource capacity exceeded (SLA placement).
   kResourceExhausted,
-  // A prepared-statement handle the engine does not know for the request's
-  // database (the engine restarted and lost its handle table, or the handle
-  // was minted for another database). The controller drops its cached
-  // handle and mints a fresh one.
-  kUnknownHandle,
 };
 
 // Returns a stable human-readable name, e.g. "Deadlock".
@@ -90,9 +85,6 @@ class [[nodiscard]] Status {
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
-  static Status UnknownHandle(std::string msg) {
-    return Status(StatusCode::kUnknownHandle, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -54,7 +54,6 @@ std::string_view RpcTypeName(RpcType type) {
   switch (type) {
     case RpcType::kHealth: return "Health";
     case RpcType::kBegin: return "Begin";
-    case RpcType::kExecute: return "Execute";
     case RpcType::kPrepare: return "Prepare";
     case RpcType::kCommit: return "Commit";
     case RpcType::kCommitPrepared: return "CommitPrepared";
@@ -121,7 +120,6 @@ void EncodeRequestFrame(const RpcRequest& request, std::string* out) {
   for (const Row& row : request.rows) AppendRow(out, row);
   AppendU64(out, static_cast<uint64_t>(request.per_row_delay_us));
   AppendU64(out, static_cast<uint64_t>(request.debug_delay_us));
-  AppendU64(out, request.stmt_handle);
   AppendU64(out, request.trace_id);
   AppendU8(out, (request.read_only ? kFlagReadOnly : 0) |
                     (request.begin ? kFlagBegin : 0));
@@ -143,7 +141,6 @@ void EncodeResponseFrame(const RpcResponse& response, std::string* out) {
   for (uint64_t id : response.txn_ids) AppendU64(out, id);
   AppendU32(out, static_cast<uint32_t>(response.names.size()));
   for (const std::string& name : response.names) AppendString(out, name);
-  AppendU64(out, response.stmt_handle);
   AppendU64(out, static_cast<uint64_t>(response.server_duration_us));
   AppendU64(out, static_cast<uint64_t>(response.retry_after_us));
   AppendU64(out, response.snapshot_ts);
@@ -194,7 +191,6 @@ Result<RpcRequest> DecodeRequest(std::string_view payload) {
   }
   request.per_row_delay_us = static_cast<int64_t>(in.ReadU64());
   request.debug_delay_us = static_cast<int64_t>(in.ReadU64());
-  request.stmt_handle = in.ReadU64();
   request.trace_id = in.ReadU64();
   uint8_t flags = in.ReadU8();
   if ((flags & ~kKnownFlags) != 0) {
@@ -223,7 +219,7 @@ Result<RpcResponse> DecodeResponse(std::string_view payload) {
   }
   RpcResponse response;
   uint8_t code = in.ReadU8();
-  if (code > static_cast<uint8_t>(StatusCode::kUnknownHandle)) {
+  if (code > static_cast<uint8_t>(StatusCode::kResourceExhausted)) {
     return Status::InvalidArgument("unknown status code " +
                                    std::to_string(code));
   }
@@ -240,7 +236,6 @@ Result<RpcResponse> DecodeResponse(std::string_view payload) {
   for (uint32_t i = 0; i < names && in.ok(); ++i) {
     response.names.push_back(in.ReadString());
   }
-  response.stmt_handle = in.ReadU64();
   response.server_duration_us = static_cast<int64_t>(in.ReadU64());
   response.retry_after_us = static_cast<int64_t>(in.ReadU64());
   response.snapshot_ts = in.ReadU64();

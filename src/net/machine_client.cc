@@ -89,19 +89,14 @@ void MachineClient::Session::BeginAsync(uint64_t txn_id,
 
 void MachineClient::Session::ExecuteAsync(uint64_t txn_id,
                                           const std::string& db_name,
-                                          StatementOnWire stmt,
+                                          const std::string& sql,
                                           const std::vector<Value>& params,
                                           int64_t debug_delay_us,
                                           ResponseHandler done,
                                           TxnStart start) {
   RpcRequest request;
-  if (stmt.sql != nullptr) {
-    request.type = RpcType::kExecute;
-    request.sql = *stmt.sql;
-  } else {
-    request.type = RpcType::kExecutePrepared;
-    request.stmt_handle = stmt.handle;
-  }
+  request.type = RpcType::kExecutePrepared;
+  request.sql = sql;
   request.txn_id = txn_id;
   request.db_name = db_name;
   request.params = params;
@@ -206,18 +201,6 @@ Status MachineClient::ExecuteDdl(int machine_id, const std::string& db_name,
   request.db_name = db_name;
   request.sql = sql;
   return ControlCall(machine_id, request).ToStatus();
-}
-
-Result<uint64_t> MachineClient::PrepareStatement(int machine_id,
-                                                 const std::string& db_name,
-                                                 const std::string& sql) {
-  RpcRequest request;
-  request.type = RpcType::kPrepareStatement;
-  request.db_name = db_name;
-  request.sql = sql;
-  RpcResponse response = ControlCall(machine_id, request);
-  if (!response.ok()) return response.ToStatus();
-  return response.stmt_handle;
 }
 
 Status MachineClient::BulkLoad(int machine_id, const std::string& db_name,

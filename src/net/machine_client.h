@@ -28,15 +28,6 @@ struct RpcOptions {
   int64_t call_timeout_us = 60'000'000;
 };
 
-// The statement one execute request runs: SQL text (kExecute; the machine
-// plans it through its plan cache) or a handle minted by
-// MachineClient::PrepareStatement on the session's machine
-// (kExecutePrepared; parse and plan are skipped machine-side).
-struct StatementOnWire {
-  const std::string* sql = nullptr;  // null: run `handle`
-  uint64_t handle = 0;
-};
-
 // Whether an execute request also starts its transaction on the machine: a
 // Begin piggybacked on the request (QoS admission included), in read-write
 // or read-only snapshot mode.
@@ -96,15 +87,16 @@ class MachineClient {
     void BeginAsync(uint64_t txn_id, const std::string& db_name,
                     bool read_only, ResponseHandler done);
 
-    // Runs one statement inside txn_id: kExecute for SQL text, or
-    // kExecutePrepared for a handle. With `start` other than kBegun the
-    // machine first resolves the statement, then admits and begins txn_id
-    // exactly as BeginAsync would: a stale handle (kUnknownHandle) or a
-    // throttled begin (kResourceExhausted + retry_after_us) leaves no
-    // transaction behind, and a read-only begin's snapshot_ts rides the
-    // reply.
+    // Runs one statement inside txn_id (kExecutePrepared): its SQL text
+    // with `params` bound to the '?' markers; the machine plans the text
+    // through its plan cache, which is all the statement state it keeps.
+    // With `start` other than kBegun the machine first plans the
+    // statement, then admits and begins txn_id exactly as BeginAsync
+    // would: a statement that fails to plan or a throttled begin
+    // (kResourceExhausted + retry_after_us) leaves no transaction behind,
+    // and a read-only begin's snapshot_ts rides the reply.
     void ExecuteAsync(uint64_t txn_id, const std::string& db_name,
-                      StatementOnWire stmt, const std::vector<Value>& params,
+                      const std::string& sql, const std::vector<Value>& params,
                       int64_t debug_delay_us, ResponseHandler done,
                       TxnStart start = TxnStart::kBegun);
     void PrepareAsync(uint64_t txn_id, ResponseHandler done);
@@ -135,12 +127,6 @@ class MachineClient {
   Status HasDatabase(int machine_id, const std::string& db_name);
   Status ExecuteDdl(int machine_id, const std::string& db_name,
                     const std::string& sql);
-  // Parse+plan `sql` once on the machine; returns the machine-local statement
-  // handle for Session::ExecuteAsync. Handles do not survive machine
-  // recovery: a lost handle answers kUnknownHandle, and the caller
-  // re-prepares.
-  Result<uint64_t> PrepareStatement(int machine_id, const std::string& db_name,
-                                    const std::string& sql);
   Status BulkLoad(int machine_id, const std::string& db_name,
                   const std::string& table, const std::vector<Row>& rows);
   Result<std::vector<uint64_t>> ListPrepared(int machine_id);

@@ -37,7 +37,6 @@ Histogram* ServerLatencyFor(RpcType type) {
 bool IsTransactional(RpcType type) {
   switch (type) {
     case RpcType::kBegin:
-    case RpcType::kExecute:
     case RpcType::kExecutePrepared:
     case RpcType::kPrepare:
     case RpcType::kCommit:
@@ -114,16 +113,12 @@ RpcResponse MachineService::DispatchTransactional(const RpcRequest& request) {
   switch (request.type) {
     case RpcType::kBegin:
       return AdmitAndBegin(engine.get(), request);
-    case RpcType::kExecute:
     case RpcType::kExecutePrepared: {
-      // Resolve the plan (a plan-cache hit, a parse+plan of the text, or the
-      // handle's plan) before the latency model, so cached statements skip
-      // straight to the op slot. A piggybacked begin runs only after the
-      // plan resolved: a stale handle leaves no transaction behind.
-      auto plan_or =
-          request.type == RpcType::kExecute
-              ? engine->GetPlan(request.db_name, request.sql)
-              : engine->PreparedPlan(request.db_name, request.stmt_handle);
+      // Resolve the plan (a plan-cache hit, or a parse+plan of the text)
+      // before the latency model, so cached statements skip straight to
+      // the op slot. A piggybacked begin runs only after the plan resolved:
+      // a statement that fails to plan leaves no transaction behind.
+      auto plan_or = engine->GetPlan(request.db_name, request.sql);
       if (!plan_or.ok()) return RpcResponse::FromStatus(plan_or.status());
       uint64_t snapshot_ts = 0;
       if (request.begin) {
@@ -183,13 +178,6 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
       if (!result.ok()) return RpcResponse::FromStatus(result.status());
       RpcResponse response;
       response.result = std::move(*result);
-      return response;
-    }
-    case RpcType::kPrepareStatement: {
-      auto handle_or = engine->PrepareStatement(request.db_name, request.sql);
-      if (!handle_or.ok()) return RpcResponse::FromStatus(handle_or.status());
-      RpcResponse response;
-      response.stmt_handle = *handle_or;
       return response;
     }
     case RpcType::kBulkLoad:
@@ -276,6 +264,7 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
       response.names = db->TableNames();
       return response;
     }
+    case RpcType::kPrepareStatement:  // retired: machines keep no handles
     default:
       return RpcResponse::FromStatus(Status::InvalidArgument(
           "unhandled rpc type " +

@@ -18,7 +18,7 @@ namespace mtdb::net {
 enum class RpcType : uint8_t {
   kHealth = 1,         // liveness probe
   kBegin = 2,          // start engine-side transaction txn_id
-  kExecute = 3,        // run one SQL statement inside txn_id
+  // 3 is retired; the codec rejects it.
   kPrepare = 4,        // 2PC phase 1 (the vote is the response Status)
   kCommit = 5,         // one-phase commit (read-only / single participant)
   kCommitPrepared = 6, // 2PC phase 2
@@ -33,8 +33,10 @@ enum class RpcType : uint8_t {
   kListPrepared = 16,  // prepared txn ids (process-pair takeover)
   kListActive = 17,    // active txn ids (process-pair takeover)
   kListTables = 18,    // table names of one database (recovery work list)
-  kPrepareStatement = 19,  // prepare SQL once, reply with a statement handle
-  kExecutePrepared = 20,   // run a prepared handle inside txn_id
+  // Nothing sends 19, which machines refuse; 19 and 20 keep their names
+  // because per-type metrics are reported under them.
+  kPrepareStatement = 19,
+  kExecutePrepared = 20,   // run one SQL statement (text + '?' params)
   kStats = 21,             // metrics dump (text exposition in the message)
   kSetQuota = 22,          // install a QoS quota for db_name on the machine
   kWalDeltaRead = 23,      // live migration: committed WAL delta since cursor
@@ -51,11 +53,10 @@ struct RpcRequest {
   uint64_t txn_id = 0;            // transactional ops, kDumpTable (dump txn)
   std::string db_name;            // everything except kHealth/kList*
   std::string table;              // kBulkLoad / kDumpTable
-  std::string sql;                // kExecute / kExecuteDdl / kPrepareStatement
-  // kExecute / kExecutePrepared ('?' binding); kSetQuota carries the quota
-  // triple [rate_tps (double), burst (double), weight (int)] here.
+  std::string sql;                // kExecutePrepared / kExecuteDdl
+  // kExecutePrepared ('?' binding); kSetQuota carries the quota triple
+  // [rate_tps (double), burst (double), weight (int)] here.
   std::vector<Value> params;
-  uint64_t stmt_handle = 0;       // kExecutePrepared
   std::vector<Row> rows;          // kBulkLoad
   int64_t per_row_delay_us = 0;   // kDumpTable copy-cost model
   // Test instrumentation: extra service delay applied before execution (the
@@ -69,7 +70,7 @@ struct RpcRequest {
   // from the MVCC snapshot without lock-manager traffic, writes are
   // rejected. Always on the wire; old-format frames fail decoding.
   bool read_only = false;
-  // kExecute / kExecutePrepared: begin txn_id (in read_only mode) before
+  // kExecutePrepared: begin txn_id (in read_only mode) before
   // running the statement — a Begin piggybacked on the first read to a
   // machine, QoS admission included. Rides the read_only byte as a flag
   // bit; a frame with any other bit set fails decoding.
@@ -88,11 +89,10 @@ struct RpcRequest {
 struct RpcResponse {
   StatusCode code = StatusCode::kOk;
   std::string message;
-  sql::QueryResult result;         // kExecute / kExecuteDdl
+  sql::QueryResult result;         // kExecutePrepared / kExecuteDdl
   std::vector<uint64_t> txn_ids;   // kListPrepared / kListActive
   // kListTables; the encoded WAL records of kDumpTable and kWalDeltaRead.
   std::vector<std::string> names;
-  uint64_t stmt_handle = 0;        // kPrepareStatement
   // Service time measured machine-side (dispatch entry to reply), echoed to
   // the client so traces can split client-observed latency into transport
   // vs execution. -1 when the server predates the field or never measured.

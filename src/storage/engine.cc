@@ -3,12 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <random>
 #include <thread>
 
 #include "src/common/logging.h"
-#include "src/common/random.h"
-#include "src/sql/executor.h"
 #include "src/sql/parser.h"
 #include "src/sql/planner.h"
 
@@ -45,26 +42,13 @@ LockManagerOptions MakeLockOptions(const EngineOptions& options,
   return lock_options;
 }
 
-// The first statement handle of a new engine: random, with the top bit
-// clear so the counter never wraps around to 0 (not a handle). Mixing in a
-// process-wide engine count keeps two engines apart even if the entropy
-// source repeats.
-Engine::StatementHandle FirstStatementHandle() {
-  static std::atomic<uint64_t> engines{0};
-  std::random_device entropy;
-  uint64_t seed = (static_cast<uint64_t>(entropy()) << 32) ^ entropy() ^
-                  (engines.fetch_add(1) * 0x9E3779B97F4A7C15ULL);
-  return (Random(seed).Next() >> 1) + 1;
-}
-
 }  // namespace
 
 Engine::Engine(std::string site_name, EngineOptions options)
     : site_name_(std::move(site_name)),
       options_(options),
       lock_manager_(MakeLockOptions(options, site_name_)),
-      buffer_cache_(options.buffer_pool_pages),
-      next_stmt_handle_(FirstStatementHandle()) {
+      buffer_cache_(options.buffer_pool_pages) {
   if (options_.invariant_checks) {
     txn_checker_ = std::make_unique<analysis::TwoPhaseCommitChecker>();
   }
@@ -289,48 +273,6 @@ Result<std::shared_ptr<const sql::PlannedStatement>> Engine::GetPlan(
     }
   }
   return plan;
-}
-
-Result<Engine::StatementHandle> Engine::PrepareStatement(
-    const std::string& db_name, const std::string& sql) {
-  // Plan eagerly: parse/resolution errors surface at prepare time and the
-  // plan is warm in the cache for the first execution.
-  MTDB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::PlannedStatement> plan,
-                        GetPlan(db_name, sql));
-  if (plan->explain) {
-    return Status::InvalidArgument("cannot prepare an EXPLAIN statement");
-  }
-  platform::Guard lock(plan_mu_);
-  StatementHandle handle = next_stmt_handle_++;
-  prepared_stmts_[handle] = PreparedStmt{db_name, sql};
-  return handle;
-}
-
-Result<std::shared_ptr<const sql::PlannedStatement>> Engine::PreparedPlan(
-    const std::string& db_name, StatementHandle handle) {
-  std::string sql;
-  {
-    platform::Guard lock(plan_mu_);
-    auto it = prepared_stmts_.find(handle);
-    if (it == prepared_stmts_.end() || it->second.db_name != db_name) {
-      return Status::UnknownHandle("unknown statement handle " +
-                                   std::to_string(handle) + " in database " +
-                                   db_name);
-    }
-    sql = it->second.sql;
-  }
-  // The cache serves the hot path; after DDL this re-plans, and a dropped
-  // table surfaces as kNotFound rather than a stale plan.
-  return GetPlan(db_name, sql);
-}
-
-Result<sql::QueryResult> Engine::ExecutePrepared(
-    uint64_t txn_id, const std::string& db_name, StatementHandle handle,
-    const std::vector<Value>& params) {
-  MTDB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::PlannedStatement> plan,
-                        PreparedPlan(db_name, handle));
-  sql::SqlExecutor executor(this);
-  return executor.ExecutePlan(txn_id, db_name, *plan, params);
 }
 
 Result<Table*> Engine::ResolveTable(const std::string& db_name,

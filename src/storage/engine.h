@@ -113,7 +113,7 @@ class Engine {
                      const std::string& column_name);
   Status DropTable(const std::string& db_name, const std::string& table_name);
 
-  // --- SQL planning & prepared statements (DESIGN.md §9) ---
+  // --- SQL planning (DESIGN.md §9) ---
   // Monotone per-database schema version, bumped by every DDL (CREATE
   // TABLE/INDEX, DROP). Versions are drawn from one engine-wide counter so a
   // dropped-and-recreated database never repeats a version. 0 = unknown db.
@@ -124,31 +124,10 @@ class Engine {
   // database's schema version — any DDL invalidates. Only '?'-parameterized,
   // non-EXPLAIN statements are cached (the same cacheability rule the old
   // MachineService parse cache used; literal-bearing one-shot statements
-  // would only churn the cache).
+  // would only churn the cache). The cache is the engine's only statement
+  // state: a prepared statement reaches it as its SQL text, like any other.
   Result<std::shared_ptr<const sql::PlannedStatement>> GetPlan(
       const std::string& db_name, const std::string& sql);
-
-  // Server-side prepared statements: Prepare parses + plans eagerly (errors
-  // surface here, and the plan is warm in the cache) and returns a handle;
-  // PreparedPlan resolves a handle to its plan through the plan cache
-  // (re-planning transparently after DDL), and ExecutePrepared runs it
-  // inside `txn_id`. A handle only resolves in the database it was minted
-  // for: an unknown handle, or one minted for another database, is
-  // kUnknownHandle; a handle whose table was dropped returns kNotFound.
-  // Each engine numbers its handles from a random 64-bit offset, so a
-  // handle minted by an earlier engine on the same machine is unknown to a
-  // restarted one instead of naming whatever it minted since.
-  // Named PrepareStatement because Prepare(uint64_t) is the 2PC participant
-  // vote.
-  using StatementHandle = uint64_t;
-  Result<StatementHandle> PrepareStatement(const std::string& db_name,
-                                           const std::string& sql);
-  Result<std::shared_ptr<const sql::PlannedStatement>> PreparedPlan(
-      const std::string& db_name, StatementHandle handle);
-  Result<sql::QueryResult> ExecutePrepared(uint64_t txn_id,
-                                           const std::string& db_name,
-                                           StatementHandle handle,
-                                           const std::vector<Value>& params);
 
   // Drops `db_name`'s cached plans and schema-version entry (tenant
   // catalog eviction of an idle tenant). Safe at any time: versions are
@@ -328,15 +307,11 @@ class Engine {
   std::unique_ptr<analysis::TwoPhaseCommitChecker> txn_checker_
       MTDB_PT_GUARDED_BY(txn_mu_);
 
-  // --- Plan cache & prepared statements ---
+  // --- Plan cache ---
   struct CachedPlan {
     uint64_t schema_version = 0;
     int64_t last_use_us = 0;
     std::shared_ptr<const sql::PlannedStatement> plan;
-  };
-  struct PreparedStmt {
-    std::string db_name;
-    std::string sql;
   };
   // Bumps the db's schema version and evicts its cached plans. Called by
   // every successful DDL.
@@ -351,12 +326,6 @@ class Engine {
   uint64_t schema_epoch_ MTDB_GUARDED_BY(plan_mu_) = 0;
   std::map<std::pair<std::string, std::string>, CachedPlan> plan_cache_
       MTDB_GUARDED_BY(plan_mu_);
-  std::map<StatementHandle, PreparedStmt> prepared_stmts_
-      MTDB_GUARDED_BY(plan_mu_);
-  // Starts at a random offset (see engine.cc), so an engine restarted
-  // behind a stable endpoint does not re-mint numbers a controller still
-  // caches for other statements.
-  StatementHandle next_stmt_handle_ MTDB_GUARDED_BY(plan_mu_);
   std::atomic<int64_t> plan_cache_hits_{0};
   std::atomic<int64_t> plan_cache_misses_{0};
 

@@ -200,7 +200,7 @@ TEST_F(ConnectionTest, FirstReadToAMachineCarriesTheBegin) {
   net::InProcTransport* transport = controller_->inproc_transport();
   transport->SetFaultHook([&](int, const net::RpcRequest& request) {
     if (request.type == net::RpcType::kBegin) begins.fetch_add(1);
-    if (request.type == net::RpcType::kExecute) {
+    if (request.type == net::RpcType::kExecutePrepared) {
       executes.fetch_add(1);
       if (request.begin) piggybacked.fetch_add(1);
     }

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cluster/machine.h"
 #include "src/net/codec.h"
+#include "src/net/machine_service.h"
 #include "src/net/message.h"
 
 namespace mtdb::net {
@@ -63,7 +65,7 @@ void ExpectPrefixAndSuffixRejected(const std::string& frame, DecodeFn decode) {
 
 TEST(NetCodecTest, ExecuteRequestRoundTripsAllValueKinds) {
   RpcRequest request;
-  request.type = RpcType::kExecute;
+  request.type = RpcType::kExecutePrepared;
   request.txn_id = 0xDEADBEEFCAFEull;
   request.db_name = "tenant-42";
   request.sql = "UPDATE item SET i_stock = ? WHERE i_id = ? AND i_title = ?";
@@ -74,7 +76,7 @@ TEST(NetCodecTest, ExecuteRequestRoundTripsAllValueKinds) {
   request.debug_delay_us = 1234;
 
   RpcRequest out = RoundTripRequest(request);
-  EXPECT_EQ(out.type, RpcType::kExecute);
+  EXPECT_EQ(out.type, RpcType::kExecutePrepared);
   EXPECT_EQ(out.txn_id, request.txn_id);
   EXPECT_EQ(out.db_name, request.db_name);
   EXPECT_EQ(out.sql, request.sql);
@@ -93,7 +95,7 @@ TEST(NetCodecTest, EveryRequestTypeRoundTrips) {
   for (int raw = 1; raw <= static_cast<int>(RpcType::kWalDeltaApply); ++raw) {
     RpcRequest request;
     request.type = static_cast<RpcType>(raw);
-    // Retired numbers (14, 15) are rejected instead; see
+    // Retired numbers (3, 14, 15) are rejected instead; see
     // WrongDirectionTagAndBadEnumsAreRejected.
     if (RpcTypeName(request.type) == "?") continue;
     request.txn_id = static_cast<uint64_t>(raw) << 40;
@@ -102,7 +104,6 @@ TEST(NetCodecTest, EveryRequestTypeRoundTrips) {
     request.sql = "SELECT " + std::to_string(raw);
     request.per_row_delay_us = raw * 11;
     request.debug_delay_us = raw * 7;
-    request.stmt_handle = static_cast<uint64_t>(raw) * 1'000'003;
     request.trace_id = static_cast<uint64_t>(raw) * 999'983;
     RpcRequest out = RoundTripRequest(request);
     EXPECT_EQ(out.type, request.type) << RpcTypeName(request.type);
@@ -112,27 +113,29 @@ TEST(NetCodecTest, EveryRequestTypeRoundTrips) {
     EXPECT_EQ(out.sql, request.sql);
     EXPECT_EQ(out.per_row_delay_us, request.per_row_delay_us);
     EXPECT_EQ(out.debug_delay_us, request.debug_delay_us);
-    EXPECT_EQ(out.stmt_handle, request.stmt_handle);
     EXPECT_EQ(out.trace_id, request.trace_id);
   }
 }
 
-TEST(NetCodecTest, PreparedStatementHandleRoundTrips) {
+TEST(NetCodecTest, ExecutePreparedCarriesSqlText) {
+  // Type 20 is the one execute message: a prepared statement travels as its
+  // SQL text plus '?' params, like any other statement.
   RpcRequest request;
   request.type = RpcType::kExecutePrepared;
   request.txn_id = 77;
   request.db_name = "shop";
-  request.stmt_handle = 0xDEADBEEFCAFEull;
+  request.sql = "UPDATE item SET i_stock = ? WHERE i_title = ?";
   request.params = {Value(int64_t{4}), Value("x")};
-  RpcRequest out = RoundTripRequest(request);
-  EXPECT_EQ(out.stmt_handle, request.stmt_handle);
-  ASSERT_EQ(out.params.size(), 2u);
-
-  RpcResponse response;
-  response.stmt_handle = 42;
-  RpcResponse rout = RoundTripResponse(response);
-  EXPECT_TRUE(rout.ok());
-  EXPECT_EQ(rout.stmt_handle, 42u);
+  std::string frame;
+  EncodeRequestFrame(request, &frame);
+  EXPECT_NE(frame.find(request.sql), std::string::npos);
+  auto decoded = DecodeRequest(PayloadOf(frame));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->type, RpcType::kExecutePrepared);
+  EXPECT_EQ(decoded->sql, request.sql);
+  ASSERT_EQ(decoded->params.size(), 2u);
+  EXPECT_EQ(decoded->params[0], request.params[0]);
+  EXPECT_EQ(decoded->params[1], request.params[1]);
 }
 
 TEST(NetCodecTest, BulkLoadRequestCarriesRows) {
@@ -165,12 +168,12 @@ TEST(NetCodecTest, EveryStatusCodeRoundTrips) {
   }
 }
 
-TEST(NetCodecTest, UnknownHandleRoundTripsAndNextCodeIsRejected) {
+TEST(NetCodecTest, LastStatusCodeRoundTripsAndNextCodeIsRejected) {
   RpcResponse response =
-      RpcResponse::FromStatus(Status::UnknownHandle("unknown handle 7"));
+      RpcResponse::FromStatus(Status::ResourceExhausted("over quota"));
   RpcResponse out = RoundTripResponse(response);
-  EXPECT_EQ(out.code, StatusCode::kUnknownHandle);
-  EXPECT_EQ(out.message, "unknown handle 7");
+  EXPECT_EQ(out.code, StatusCode::kResourceExhausted);
+  EXPECT_EQ(out.message, "over quota");
 
   // The status code is the payload byte after the direction tag; one past
   // the last code must still fail decoding instead of becoming a bogus
@@ -179,7 +182,7 @@ TEST(NetCodecTest, UnknownHandleRoundTripsAndNextCodeIsRejected) {
   EncodeResponseFrame(response, &frame);
   std::string payload(PayloadOf(frame));
   payload[1] =
-      static_cast<char>(static_cast<int>(StatusCode::kUnknownHandle) + 1);
+      static_cast<char>(static_cast<int>(StatusCode::kResourceExhausted) + 1);
   auto decoded = DecodeResponse(payload);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
@@ -271,7 +274,7 @@ TEST(NetCodecTest, BeginReadOnlyFlagRoundTrips) {
   EXPECT_FALSE(RoundTripRequest(begin_ro).read_only);
 
   RpcRequest execute;
-  execute.type = RpcType::kExecute;
+  execute.type = RpcType::kExecutePrepared;
   execute.sql = "SELECT 1";
   EXPECT_FALSE(RoundTripRequest(execute).read_only);
 }
@@ -283,7 +286,7 @@ TEST(NetCodecTest, PiggybackedBeginFlagRoundTrips) {
   execute.type = RpcType::kExecutePrepared;
   execute.txn_id = 311;
   execute.db_name = "shop";
-  execute.stmt_handle = 0x123456789ull;
+  execute.sql = "SELECT i_title FROM item WHERE i_id = ?";
   for (bool begin : {false, true}) {
     for (bool read_only : {false, true}) {
       execute.begin = begin;
@@ -291,7 +294,7 @@ TEST(NetCodecTest, PiggybackedBeginFlagRoundTrips) {
       RpcRequest out = RoundTripRequest(execute);
       EXPECT_EQ(out.begin, begin) << "read_only " << read_only;
       EXPECT_EQ(out.read_only, read_only) << "begin " << begin;
-      EXPECT_EQ(out.stmt_handle, execute.stmt_handle);
+      EXPECT_EQ(out.sql, execute.sql);
     }
   }
   EXPECT_FALSE(RoundTripRequest(RpcRequest{}).begin);
@@ -299,7 +302,7 @@ TEST(NetCodecTest, PiggybackedBeginFlagRoundTrips) {
 
 TEST(NetCodecTest, PiggybackedBeginRequestTruncationIsRejected) {
   RpcRequest request;
-  request.type = RpcType::kExecute;
+  request.type = RpcType::kExecutePrepared;
   request.txn_id = 312;
   request.db_name = "shop";
   request.sql = "SELECT i_title FROM item WHERE i_id = ?";
@@ -314,7 +317,7 @@ TEST(NetCodecTest, PiggybackedBeginRequestTruncationIsRejected) {
 
 TEST(NetCodecTest, UnknownRequestFlagBitsAreRejected) {
   RpcRequest request;
-  request.type = RpcType::kExecute;
+  request.type = RpcType::kExecutePrepared;
   request.sql = "SELECT 1";
   request.begin = true;
   request.read_only = true;
@@ -445,8 +448,8 @@ TEST(NetCodecTest, WrongDirectionTagAndBadEnumsAreRejected) {
   // A request payload is not a response payload.
   EXPECT_FALSE(DecodeResponse(payload).ok());
   // Corrupt the RpcType byte (payload[1]): out of range, or one of the
-  // retired numbers 14 and 15.
-  for (int type : {0, 14, 15, 25, 0x7F}) {
+  // retired numbers 3, 14 and 15.
+  for (int type : {0, 3, 14, 15, 25, 0x7F}) {
     std::string bad_type = payload;
     bad_type[1] = static_cast<char>(type);
     auto decoded = DecodeRequest(bad_type);
@@ -457,6 +460,23 @@ TEST(NetCodecTest, WrongDirectionTagAndBadEnumsAreRejected) {
   std::string bad_tag = payload;
   bad_tag[0] = static_cast<char>(0x55);
   EXPECT_FALSE(DecodeRequest(bad_tag).ok());
+}
+
+TEST(NetCodecTest, PrepareStatementRequestIsRefusedByTheMachine) {
+  // Type 19 still decodes (its name is reported per type), but machines
+  // keep no statement handles: the service refuses it and mints nothing.
+  Machine machine(0, MachineOptions{});
+  ASSERT_TRUE(machine.engine()->CreateDatabase("shop").ok());
+  RpcRequest request;
+  request.type = RpcType::kPrepareStatement;
+  request.db_name = "shop";
+  request.sql = "SELECT 1";
+  RpcRequest decoded = RoundTripRequest(request);
+  ASSERT_EQ(decoded.type, RpcType::kPrepareStatement);
+  MachineService service(&machine);
+  RpcResponse response = service.Dispatch(decoded);
+  EXPECT_EQ(response.code, StatusCode::kInvalidArgument) << response.message;
+  EXPECT_TRUE(response.result.rows.empty());
 }
 
 }  // namespace

@@ -1,16 +1,15 @@
 // End-to-end tests for prepared statements over the RPC path: Connection ↔
 // ClusterController ↔ net::MachineClient ↔ net::MachineService ↔ Engine.
 //
-// A PreparedStatement is a controller-side registry entry; machine-side
-// handles are minted lazily per replica and invalidated on failover and on
-// Algorithm-1 copy completion, so these tests drive exactly those paths:
-// reads with replica retry, write fan-out, DDL-driven re-planning, dropped
-// tables, machine failure after handles were minted, and engines that lose
-// their handles behind a stable endpoint (kUnknownHandle).
+// A PreparedStatement is a controller-side registry entry holding its SQL
+// text and routing facts; every execution ships the text, and machines keep
+// nothing for it beyond their plan cache. These tests drive reads with
+// replica retry, write fan-out, DDL-driven re-planning, dropped tables,
+// machine failure, engines restarted behind a stable endpoint, and the
+// machine's per-database planning.
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -52,8 +51,8 @@ class PreparedRpcTest : public ::testing::Test {
 
   // Gives each machine a fresh engine restored from `source`'s copy of the
   // shop database — a process restart behind a stable endpoint that the
-  // controller is never told about (no FailMachine), so every cached
-  // statement handle for these machines is stale.
+  // controller is never told about (no FailMachine), with a cold plan
+  // cache.
   void RestartEngines(const std::vector<int>& machine_ids, int source) {
     auto records = DumpRecords(controller_->machine(source)->engine().get(),
                                "shop", "*", 990'000);
@@ -159,7 +158,7 @@ TEST_F(PreparedRpcTest, RegistrySharesStatementsAcrossConnections) {
   auto stmt1 = conn1->Prepare(sql);
   auto stmt2 = conn2->Prepare(sql);
   ASSERT_TRUE(stmt1.ok() && stmt2.ok());
-  // Same (db, sql) → same registry entry, so machine handles are shared.
+  // Same (db, sql) → same registry entry, so the routing parse is shared.
   EXPECT_EQ(stmt1->get(), stmt2->get());
 }
 
@@ -227,10 +226,9 @@ TEST_F(PreparedRpcTest, PreparedReadSurvivesMachineFailure) {
   auto conn = controller_->Connect("shop");
   auto stmt = conn->Prepare("SELECT i_title FROM item WHERE i_id = ?");
   ASSERT_TRUE(stmt.ok());
-  // Mint handles on the replica the first read lands on.
+  // Warm the plan cache of the replica the first read lands on.
   ASSERT_TRUE(conn->ExecutePrepared(*stmt, {Value(int64_t{1})}).ok());
-  // Fail every replica but one; cached handles for the dead machines are
-  // invalidated and the read re-mints a handle on the survivor.
+  // Fail every replica but one; the read runs on the survivor.
   std::vector<int> replicas = controller_->ReplicasOf("shop");
   ASSERT_EQ(replicas.size(), 2u);
   controller_->FailMachine(replicas[0]);
@@ -268,8 +266,9 @@ TEST_F(PreparedRpcTest, PreparedReadReMintsStaleHandle) {
   ASSERT_TRUE(conn->ExecutePrepared(*stmt, {Value(int64_t{1})}).ok());
   std::vector<int> replicas = controller_->ReplicasOf("shop");
   RestartEngines(replicas, replicas[0]);
-  // The read lands on a replica that answers kUnknownHandle; the controller
-  // drops its handle, re-mints it and retries within the same call.
+  // Every execution ships the statement's text and machines hold no handle
+  // for it, so nothing is stale: the restarted engines (with cold plan
+  // caches) answer the first read.
   auto result = conn->ExecutePrepared(*stmt, {Value(int64_t{1})});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->at(0, 0).AsString(), "title-1");
@@ -286,20 +285,16 @@ TEST_F(PreparedRpcTest, PreparedWriteDropsStaleHandleOnEveryReplica) {
   std::vector<int> replicas = controller_->ReplicasOf("shop");
   ASSERT_EQ(replicas.size(), 2u);
   RestartEngines({replicas[1]}, replicas[0]);
-  // The restarted replica no longer knows the cached handle: this write
-  // fails there (and so as a whole) ...
-  auto stale =
-      conn->ExecutePrepared(*stmt, {Value(int64_t{5}), Value(int64_t{0})});
-  EXPECT_EQ(stale.status().code(), StatusCode::kUnknownHandle);
-  // ... but the write replica dropped its cached handle, so the next
-  // statement re-mints it and reaches every replica.
-  auto fresh =
+  // One replica restarted unnoticed, the other kept its plan cache: the
+  // first write afterwards still runs on both and reaches every replica.
+  auto written =
       conn->ExecutePrepared(*stmt, {Value(int64_t{3}), Value(int64_t{0})});
-  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(written->affected_rows, 1);
   for (int id : replicas) EXPECT_EQ(StockOn(id, 0), 3) << "machine " << id;
 }
 
-TEST_F(PreparedRpcTest, MachineRefusesHandleMintedForAnotherDatabase) {
+TEST_F(PreparedRpcTest, StatementSentForAnotherDatabaseRunsThereOnly) {
   Build();
   std::vector<int> replicas = controller_->ReplicasOf("shop");
   ASSERT_TRUE(controller_->CreateDatabaseOn("other", replicas).ok());
@@ -308,113 +303,76 @@ TEST_F(PreparedRpcTest, MachineRefusesHandleMintedForAnotherDatabase) {
                                "CREATE TABLE item (i_id INT PRIMARY KEY, "
                                "i_title VARCHAR(40), i_stock INT)")
                   .ok());
+  ASSERT_TRUE(controller_
+                  ->BulkLoad("other", "item",
+                             {{Value(int64_t{1}), Value("other-1"),
+                               Value(int64_t{9})}})
+                  .ok());
   const int machine = replicas[0];
   net::MachineClient* client = controller_->machine_client();
-  auto handle = client->PrepareStatement(
-      machine, "shop", "SELECT i_title FROM item WHERE i_id = ?");
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-
-  // Sends the shop handle inside a transaction on "other": the machine must
-  // not run shop's statement for it.
   auto session = client->OpenSession(machine);
-  auto call = [&](auto issue) {
-    std::promise<net::RpcResponse> done;
-    auto reply = done.get_future();
-    issue([&done](net::RpcResponse response) {
-      done.set_value(std::move(response));
+  const std::string select = "SELECT i_title FROM item WHERE i_id = ?";
+  const std::string update = "UPDATE item SET i_stock = ? WHERE i_id = ?";
+  auto execute = [&](uint64_t txn, const std::string& db,
+                     const std::string& sql, std::vector<Value> params,
+                     net::TxnStart start) {
+    return net::AwaitReply([&](net::ResponseHandler done) {
+      session->ExecuteAsync(txn, db, sql, params, 0, std::move(done), start);
     });
-    return reply.get();
   };
-  constexpr uint64_t kTxn = 930'000;
-  ASSERT_TRUE(call([&](net::ResponseHandler h) {
-                session->BeginAsync(kTxn, "other", false, std::move(h));
-              }).ok());
-  net::RpcResponse response = call([&](net::ResponseHandler h) {
-    session->ExecuteAsync(kTxn, "other",
-                          net::StatementOnWire{.handle = *handle},
-                          {Value(int64_t{1})}, 0, std::move(h));
-  });
-  EXPECT_EQ(response.code, StatusCode::kUnknownHandle) << response.message;
-  EXPECT_TRUE(response.result.rows.empty());
-  EXPECT_TRUE(call([&](net::ResponseHandler h) {
-                session->AbortAsync(kTxn, std::move(h));
-              }).ok());
-}
-
-TEST_F(PreparedRpcTest, RestartedEngineRefusesHandlesOfItsPredecessor) {
-  Build();
-  const int machine = controller_->ReplicasOf("shop")[0];
-  net::MachineClient* client = controller_->machine_client();
-  auto stale = client->PrepareStatement(
-      machine, "shop", "SELECT i_title FROM item WHERE i_id = ?");
-  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
-  RestartEngines({machine}, machine);
-  // The restarted engine mints a handle for another statement of the same
-  // database; the handle cached from its predecessor must not name it.
-  auto fresh = client->PrepareStatement(
-      machine, "shop", "SELECT i_stock FROM item WHERE i_id = ?");
-  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-
-  auto session = client->OpenSession(machine);
-  auto call = [&](auto issue) {
-    std::promise<net::RpcResponse> done;
-    auto reply = done.get_future();
-    issue([&done](net::RpcResponse response) {
-      done.set_value(std::move(response));
-    });
-    return reply.get();
-  };
-  constexpr uint64_t kTxn = 931'000;
-  ASSERT_TRUE(call([&](net::ResponseHandler h) {
-                session->BeginAsync(kTxn, "shop", false, std::move(h));
-              }).ok());
-  net::RpcResponse response = call([&](net::ResponseHandler h) {
-    session->ExecuteAsync(kTxn, "shop", net::StatementOnWire{.handle = *stale},
-                          {Value(int64_t{1})}, 0, std::move(h));
-  });
-  EXPECT_EQ(response.code, StatusCode::kUnknownHandle) << response.message;
-  EXPECT_TRUE(response.result.rows.empty());
-  EXPECT_TRUE(call([&](net::ResponseHandler h) {
-                session->AbortAsync(kTxn, std::move(h));
-              }).ok());
-}
-
-TEST_F(PreparedRpcTest, PiggybackedBeginWithStaleHandleLeavesNoTransaction) {
-  Build();
-  const int machine = controller_->ReplicasOf("shop")[0];
-  net::MachineClient* client = controller_->machine_client();
-  auto stale = client->PrepareStatement(
-      machine, "shop", "SELECT i_title FROM item WHERE i_id = ?");
-  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
-  RestartEngines({machine}, machine);
-
-  auto session = client->OpenSession(machine);
-  auto execute = [&](uint64_t handle) {
-    std::promise<net::RpcResponse> done;
-    auto reply = done.get_future();
-    session->ExecuteAsync(
-        932'000, "shop", net::StatementOnWire{.handle = handle},
-        {Value(int64_t{1})}, 0,
-        [&done](net::RpcResponse response) {
-          done.set_value(std::move(response));
-        },
-        net::TxnStart::kBeginReadOnly);
-    return reply.get();
-  };
-  // The handle is resolved before the begin: refused, nothing begun ...
-  net::RpcResponse refused = execute(*stale);
-  EXPECT_EQ(refused.code, StatusCode::kUnknownHandle) << refused.message;
+  // The same text first runs for shop, so the machine holds a plan for it;
+  // sent for "other" it must run against other's table, not shop's.
+  net::RpcResponse shop_row = execute(930'000, "shop", select,
+                                      {Value(int64_t{1})},
+                                      net::TxnStart::kBegin);
+  ASSERT_TRUE(shop_row.ok()) << shop_row.message;
+  EXPECT_EQ(shop_row.result.at(0, 0).AsString(), "title-1");
   auto engine = controller_->machine(machine)->engine();
-  EXPECT_EQ(engine->ActiveTxnCount(), 0u);
-  // ... so the same request with a fresh handle begins the snapshot.
-  auto fresh = client->PrepareStatement(
-      machine, "shop", "SELECT i_title FROM item WHERE i_id = ?");
-  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  net::RpcResponse served = execute(*fresh);
+  ASSERT_TRUE(engine->Commit(930'000).ok());
+
+  net::RpcResponse other_row = execute(930'001, "other", select,
+                                       {Value(int64_t{1})},
+                                       net::TxnStart::kBegin);
+  ASSERT_TRUE(other_row.ok()) << other_row.message;
+  ASSERT_EQ(other_row.result.rows.size(), 1u);
+  EXPECT_EQ(other_row.result.at(0, 0).AsString(), "other-1");
+  net::RpcResponse other_write =
+      execute(930'001, "other", update, {Value(int64_t{0}), Value(int64_t{1})},
+              net::TxnStart::kBegun);
+  ASSERT_TRUE(other_write.ok()) << other_write.message;
+  EXPECT_EQ(other_write.result.affected_rows, 1);
+  ASSERT_TRUE(engine->Commit(930'001).ok());
+  EXPECT_EQ(StockOn(machine, 1), 50) << "other's write reached shop";
+}
+
+TEST_F(PreparedRpcTest,
+       PiggybackedBeginWithUnplannableStatementLeavesNoTransaction) {
+  Build();
+  const int machine = controller_->ReplicasOf("shop")[0];
+  net::MachineClient* client = controller_->machine_client();
+  auto session = client->OpenSession(machine);
+  auto execute = [&](const std::string& sql) {
+    return net::AwaitReply([&](net::ResponseHandler done) {
+      session->ExecuteAsync(932'000, "shop", sql, {Value(int64_t{1})}, 0,
+                            std::move(done), net::TxnStart::kBeginReadOnly);
+    });
+  };
+  // The statement is planned before the begin: refused, nothing begun ...
+  net::RpcResponse refused =
+      execute("SELECT i_title FROM no_such_table WHERE i_id = ?");
+  EXPECT_EQ(refused.code, StatusCode::kNotFound) << refused.message;
+  auto active = client->ListActive(machine);
+  ASSERT_TRUE(active.ok()) << active.status().ToString();
+  EXPECT_TRUE(active->empty());
+  // ... so the same request with a statement that plans begins the snapshot.
+  net::RpcResponse served =
+      execute("SELECT i_title FROM item WHERE i_id = ?");
   ASSERT_TRUE(served.ok()) << served.message;
   EXPECT_EQ(served.result.at(0, 0).AsString(), "title-1");
-  EXPECT_EQ(engine->ActiveTxnCount(), 1u);
-  EXPECT_TRUE(engine->Commit(932'000).ok());
+  active = client->ListActive(machine);
+  ASSERT_TRUE(active.ok()) << active.status().ToString();
+  EXPECT_EQ(*active, std::vector<uint64_t>{932'000});
+  EXPECT_TRUE(controller_->machine(machine)->engine()->Commit(932'000).ok());
 }
 
 TEST_F(PreparedRpcTest, ConcurrentPreparedReadersAndWriters) {

@@ -6,7 +6,8 @@
 //  * the engine plan cache: hit/miss accounting, the size bound, and
 //    schema-version invalidation (CREATE INDEX re-plans a cached full scan
 //    into an index probe; DROP TABLE surfaces kNotFound, not a crash);
-//  * the prepared-statement surface (PrepareStatement / ExecutePrepared).
+//  * prepared statements at the engine: a caller-held GetPlan plan run by
+//    ExecutePlan, re-planned after DDL.
 
 #include <gtest/gtest.h>
 
@@ -215,16 +216,18 @@ TEST_F(SqlPlannerTest, DropTableInvalidatesCachedPlan) {
 }
 
 // --- Prepared statements (engine surface) ---
+// The engine keeps no statement handles: a caller that plans once holds the
+// GetPlan result and runs it with ExecutePlan, and re-plans after DDL.
 
 TEST_F(SqlPlannerTest, PreparedStatementMatchesDirectExecution) {
   const std::string sql = "SELECT i_title, i_cost FROM item WHERE i_id = ?";
-  auto handle = engine_->PrepareStatement("app", sql);
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  auto plan = engine_->GetPlan("app", sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
   uint64_t txn = next_txn_++;
   ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto prepared =
-      engine_->ExecutePrepared(txn, "app", *handle, {Value(int64_t{2})});
+  auto prepared = executor_->ExecutePlan(txn, "app", **plan,
+                                         {Value(int64_t{2})});
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   ASSERT_TRUE(engine_->Commit(txn).ok());
 
@@ -234,60 +237,49 @@ TEST_F(SqlPlannerTest, PreparedStatementMatchesDirectExecution) {
   EXPECT_EQ(prepared->columns, direct.columns);
 }
 
-TEST_F(SqlPlannerTest, ExecutePreparedRejectsUnknownHandle) {
-  uint64_t txn = next_txn_++;
-  ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto result = engine_->ExecutePrepared(txn, "app", 424242, {});
-  EXPECT_EQ(result.status().code(), StatusCode::kUnknownHandle);
-  ASSERT_TRUE(engine_->Abort(txn).ok());
-}
-
-TEST_F(SqlPlannerTest, PrepareRejectsExplain) {
-  auto handle =
-      engine_->PrepareStatement("app", "EXPLAIN SELECT * FROM item");
-  EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST_F(SqlPlannerTest, PrepareSurfacesPlanningErrors) {
-  auto handle =
-      engine_->PrepareStatement("app", "SELECT * FROM no_such_table");
-  EXPECT_EQ(handle.status().code(), StatusCode::kNotFound);
+  auto plan = engine_->GetPlan("app", "SELECT * FROM no_such_table");
+  EXPECT_EQ(plan.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(SqlPlannerTest, DroppedTableSurfacesNotFoundThroughPreparedHandle) {
-  auto handle =
-      engine_->PrepareStatement("app", "SELECT i_title FROM item "
-                                       "WHERE i_id = ?");
-  ASSERT_TRUE(handle.ok());
+  // The caller's handle is the held plan: run after DROP TABLE it reaches
+  // no dropped storage, and re-planning the text reports the table gone.
+  const std::string sql = "SELECT i_title FROM item WHERE i_id = ?";
+  auto held = engine_->GetPlan("app", sql);
+  ASSERT_TRUE(held.ok());
   Exec("DROP TABLE item");
   uint64_t txn = next_txn_++;
   ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto result =
-      engine_->ExecutePrepared(txn, "app", *handle, {Value(int64_t{1})});
+  auto result = executor_->ExecutePlan(txn, "app", **held, {Value(int64_t{1})});
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
   ASSERT_TRUE(engine_->Abort(txn).ok());
+  EXPECT_EQ(engine_->GetPlan("app", sql).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(SqlPlannerTest, CreateIndexUpgradesPreparedStatementPlan) {
   const std::string sql = "SELECT i_title FROM item WHERE i_subject = ?";
-  auto handle = engine_->PrepareStatement("app", sql);
-  ASSERT_TRUE(handle.ok());
+  auto held = engine_->GetPlan("app", sql);
+  ASSERT_TRUE(held.ok());
+  EXPECT_EQ((*held)->select.driver.path, AccessPathKind::kFullScan);
 
   uint64_t txn = next_txn_++;
   ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto before = engine_->ExecutePrepared(txn, "app", *handle, {Value("CS")});
+  auto before = executor_->ExecutePlan(txn, "app", **held, {Value("CS")});
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(engine_->Commit(txn).ok());
 
   Exec("CREATE INDEX idx_subject ON item (i_subject)");
-  // The handle survives the DDL; the plan behind it was re-derived.
+  // Re-planning the same text after the DDL derives the index probe.
   auto plan = engine_->GetPlan("app", sql);
   ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->get(), held->get());
   EXPECT_EQ((*plan)->select.driver.path, AccessPathKind::kIndexProbe);
 
   txn = next_txn_++;
   ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto after = engine_->ExecutePrepared(txn, "app", *handle, {Value("CS")});
+  auto after = executor_->ExecutePlan(txn, "app", **plan, {Value("CS")});
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   ASSERT_TRUE(engine_->Commit(txn).ok());
   EXPECT_EQ(after->rows.size(), before->rows.size());

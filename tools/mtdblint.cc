@@ -77,9 +77,9 @@
 //                    its message text: `.message().find(` and
 //                    `.message() ==` / `!=` are flagged. Messages are for
 //                    humans and change freely; a branch that greps them
-//                    breaks silently when the wording moves (the stale
-//                    prepared-statement handle was once found that way; it
-//                    now has its own StatusCode::kUnknownHandle). Give the
+//                    breaks silently when the wording moves (one error
+//                    condition was once found that way, until it got a
+//                    code of its own). Give the
 //                    condition a code instead, or add
 //                    `mtdblint: allow(status-text)` with a justification.
 //
